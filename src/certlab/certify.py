@@ -1,10 +1,17 @@
 """Exact certification by structured enumeration with a QP leaf oracle.
 
-Every certificate minimizes (or maximizes) over admissible relabelings by
-walking flip sets in size-ascending lexicographic order, re-solving the
-SVM dual at each leaf (warm-started from the parent set) and reading off
-margins. Prediction values are unique across optimal duals, so the
-enumerated optimum equals the corresponding MILP optimum.
+Every certificate minimizes (or maximizes) over admissible relabelings.
+Each relabeling space has one walk in size-ascending lexicographic order,
+which yields the margins of every test row: `_scan_flips` over binary
+flip sets, each leaf warm-started from its parent, and `_scan_relabelings`
+over multi-class relabelings, warm-started from the clean duals. No leaf
+depends on the test node or the budget, and a smaller budget's leaves are
+a prefix of the walk, so the `reduce_*` generators answer every test row
+and an ascending list of budgets in one pass: they yield the clean
+margins, then one snapshot per budget as soon as the walk completes it.
+The `certify_*` functions are single-budget calls into them. Prediction
+values are unique across optimal duals, so the enumerated optimum equals
+the corresponding MILP optimum.
 
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,30 +106,89 @@ def _check_capacity(leaves: int, cap: int) -> None:
         raise CapacityError(leaves, cap)
 
 
-def _scan_flips(Qtrain, y, C, budget: Budget, cap, tol, max_sweeps, visit) -> None:
-    """Visit every flip set of size 0..r in lexicographic order.
+def _budget_ends(budgets, m, num_classes, cap) -> Counter:
+    """Leaf number -> snapshots due after it; num_classes=2 counts binary leaves."""
+    rs = [b.r for b in budgets]
+    if not rs or rs != sorted(rs):
+        raise ValueError("budgets must be a non-empty list in ascending order")
+    _check_capacity(multiclass_leaf_count(m, rs[-1], num_classes), cap)
+    return Counter(multiclass_leaf_count(m, r, num_classes) for r in rs)
 
-    `visit(flips, ytil, alpha)` receives the flipped labels and an optimal
-    dual point. Each leaf warm-starts from its parent (the set minus its
-    largest element); the leaf QP is still solved to tolerance, so warm
-    starts affect speed only.
+
+def _test_rows(Qcross, test_ids, num_classes=2):
+    if num_classes < 2:
+        raise ValueError("multi-class certification needs K >= 2")
+    Qcross = np.atleast_2d(np.asarray(Qcross, dtype=np.float64))
+    test_ids = [int(t) for t in test_ids]
+    if Qcross.shape[0] != len(test_ids):
+        raise ValueError("one Qcross row per test node required")
+    return Qcross, test_ids
+
+
+def _improve(best, value, witness, changes):
+    """Row-wise running minimum; `changes` becomes the witness where value < best."""
+    better = value < best
+    for i in np.flatnonzero(better):
+        witness[i] = changes
+    return np.where(better, value, best)
+
+
+def _runner_up(P, c_hat):
+    """Per column of P, the largest entry outside row c_hat."""
+    others = P.copy()
+    others[c_hat, np.arange(P.shape[1])] = -math.inf
+    return others.max(axis=0)
+
+
+def _certificates(test_ids, worst, witness):
+    return [SampleCertificate(t, bool(worst[i] > 0.0), float(worst[i]), witness[i])
+            for i, t in enumerate(test_ids)]
+
+
+def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
+    """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
+
+    Each leaf warm-starts from its parent (the set minus its largest
+    element) and is still solved to tolerance, so warm starts affect speed only.
     """
-    m = y.size
-    _check_capacity(binary_leaf_count(m, budget.r), cap)
-    y = np.asarray(y, dtype=np.float64)
     base = solve_dual(SvmProblem(Qtrain, y, C), tol, max_sweeps)
-    visit((), y, base.alpha)
+    yield (), margins(base.alpha, y, Qcross)
     prev = {(): base.alpha}
-    for k in range(1, budget.r + 1):
+    for k in range(1, r + 1):
         cur = {}
-        for combo in itertools.combinations(range(m), k):
+        for combo in itertools.combinations(range(y.size), k):
             ytil = y.copy()
             ytil[list(combo)] *= -1.0
             sol = solve_dual(SvmProblem(Qtrain, ytil, C), tol, max_sweeps,
                              alpha0=prev[combo[:-1]])
-            visit(combo, ytil, sol.alpha)
+            yield combo, margins(sol.alpha, ytil, Qcross)
             cur[combo] = sol.alpha
         prev = cur
+
+
+def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps):
+    """Per budget, the sample-wise SampleCertificate list and the
+    CollectiveCertificate of the Qcross rows, both from the same leaves."""
+    Qcross, test_ids = _test_rows(Qcross, test_ids)
+    y = np.asarray(y, dtype=np.float64)
+    ends = _budget_ends(budgets, y.size, 2, cap)
+    best, witness, most = np.full(len(test_ids), math.inf), [()] * len(test_ids), -1
+    leaves = _scan_flips(Qtrain, Qcross, y, C, budgets[-1].r, tol, max_sweeps)
+    for n, (flips, p) in enumerate(leaves, 1):
+        if n == 1:
+            sign = np.sign(p)
+            zero = sign == 0.0
+            yield p
+        objective = sign * p
+        best = _improve(best, objective, witness, flips)
+        broken = objective <= 0.0
+        count = int(np.sum(broken & ~zero))
+        if count > most:
+            most, collective = count, (flips, broken | zero)
+        for _ in range(ends[n]):
+            # an undefined clean sign counts as misclassified outright
+            yield (_certificates(test_ids, np.where(zero, 0.0, best), witness),
+                   CollectiveCertificate(most + int(np.sum(zero)), *collective))
 
 
 def certify_sample(Qtrain, Qcross_t, y, C, budget: Budget, t: int,
@@ -137,104 +204,90 @@ def certify_samples(Qtrain, Qcross, y, C, budget: Budget, test_ids,
                     cap: int = DEFAULT_CAPACITY, tol: float = DEFAULT_TOL,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[SampleCertificate]:
     """Sample-wise certificates for all rows of Qcross in one enumeration pass."""
-    Qcross = np.atleast_2d(np.asarray(Qcross, dtype=np.float64))
-    test_ids = [int(t) for t in test_ids]
-    if Qcross.shape[0] != len(test_ids):
-        raise ValueError("one Qcross row per test node required")
-    y = np.asarray(y, dtype=np.float64)
-    state = {}
-
-    def visit(flips, ytil, alpha):
-        p = margins(alpha, ytil, Qcross)
-        if not state:
-            state["sign"] = np.sign(p)
-            state["best"] = np.where(state["sign"] == 0.0, 0.0, np.abs(p))
-            state["witness"] = [() for _ in test_ids]
-        else:
-            obj = state["sign"] * p
-            better = obj < state["best"]
-            state["best"] = np.where(better, obj, state["best"])
-            for i in np.flatnonzero(better):
-                state["witness"][i] = flips
-
-    _scan_flips(Qtrain, y, C, budget, cap, tol, max_sweeps, visit)
-    out = []
-    for i, t in enumerate(test_ids):
-        worst = float(state["best"][i])
-        if state["sign"][i] == 0.0:
-            # undefined clean sign counts as misclassified outright
-            out.append(SampleCertificate(t, False, 0.0, ()))
-        else:
-            out.append(SampleCertificate(t, worst > 0.0, worst, tuple(state["witness"][i])))
-    return out
+    _, (certs, _) = reduce_binary(Qtrain, Qcross, y, C, [budget], test_ids,
+                                  cap=cap, tol=tol, max_sweeps=max_sweeps)
+    return certs
 
 
 def certify_collective(Qtrain, Qcross, y, C, budget: Budget, test_ids,
                        cap: int = DEFAULT_CAPACITY, tol: float = DEFAULT_TOL,
                        max_sweeps: int = DEFAULT_MAX_SWEEPS) -> CollectiveCertificate:
     """Maximum number of test predictions a single relabeling can break."""
-    Qcross = np.atleast_2d(np.asarray(Qcross, dtype=np.float64))
     test_ids = [int(t) for t in test_ids]
     if not test_ids:
         raise ValueError("collective certification needs a non-empty test set")
-    if Qcross.shape[0] != len(test_ids):
-        raise ValueError("one Qcross row per test node required")
-    y = np.asarray(y, dtype=np.float64)
-    state = {}
-
-    def visit(flips, ytil, alpha):
-        p = margins(alpha, ytil, Qcross)
-        if "sign" not in state:
-            state["sign"] = np.sign(p)
-            state["zero"] = state["sign"] == 0.0
-            state["best"] = -1
-        count = int(np.sum((state["sign"] * p <= 0.0) & ~state["zero"]))
-        if count > state["best"]:
-            state["best"] = count
-            state["witness"] = flips
-            state["flags"] = (state["sign"] * p <= 0.0) | state["zero"]
-
-    _scan_flips(Qtrain, y, C, budget, cap, tol, max_sweeps, visit)
-    pre_counted = int(np.sum(state["zero"]))
-    return CollectiveCertificate(
-        max_misclassified=state["best"] + pre_counted,
-        witness=tuple(state["witness"]),
-        misclassified=state["flags"],
-    )
+    _, (_, cert) = reduce_binary(Qtrain, Qcross, y, C, [budget], test_ids,
+                                 cap=cap, tol=tol, max_sweeps=max_sweeps)
+    return cert
 
 
 # ---------------------------------------------------------------------------
 # Multi-class certificates (one-vs-all ensembles sharing one kernel)
 # ---------------------------------------------------------------------------
 
-def _ensemble_margins(Qtrain, Qcross_t, labels, num_classes, C, tol, max_sweeps,
-                      warm=None):
-    """One-vs-all margins p_c for a single test row; returns (p, alphas)."""
-    p = np.empty(num_classes)
-    alphas = []
-    for c in range(1, num_classes + 1):
-        yc = one_vs_all_split(labels, c)
-        a0 = warm[c - 1] if warm is not None else None
-        sol = solve_dual(SvmProblem(Qtrain, yc, C), tol, max_sweeps, alpha0=a0)
-        p[c - 1] = margins(sol.alpha, yc, Qcross_t)[0]
-        alphas.append(sol.alpha)
-    return p, alphas
+def _scan_relabelings(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps):
+    """Yield (changes, P), P[c - 1] the one-vs-all margins of class c: first the
+    clean ensemble solved cold (changes None), then every relabeling with at
+    most r changed nodes, changes a tuple of (node, new_class) pairs."""
+    classes = range(1, num_classes + 1)
 
+    def ensemble(relabeled, warm):
+        ycs = [one_vs_all_split(relabeled, c) for c in classes]
+        alphas = [solve_dual(SvmProblem(Qtrain, yc, C), tol, max_sweeps, alpha0=a0).alpha
+                  for yc, a0 in zip(ycs, warm)]
+        return np.array([margins(a, yc, Qcross) for a, yc in zip(alphas, ycs)]), alphas
 
-def _iter_relabelings(labels, num_classes, r):
-    """All multi-class relabelings with at most r changed nodes, deterministic order."""
-    m = labels.size
-    yield (), labels
-    for k in range(1, r + 1):
-        for combo in itertools.combinations(range(m), k):
-            choices = [
-                [c for c in range(1, num_classes + 1) if c != labels[i]]
-                for i in combo
-            ]
-            for assignment in itertools.product(*choices):
+    P, warm = ensemble(labels, [None] * num_classes)
+    yield None, P
+    for k in range(r + 1):
+        for combo in itertools.combinations(range(labels.size), k):
+            spaces = [[c for c in classes if c != labels[i]] for i in combo]
+            for assignment in itertools.product(*spaces):
                 relabeled = labels.copy()
                 relabeled[list(combo)] = assignment
-                yield tuple(zip(combo, assignment)), relabeled
+                yield tuple(zip(combo, assignment)), ensemble(relabeled, warm)[0]
+
+
+def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
+                            *, cap, tol, max_sweeps):
+    """Exact multi-class certificates of every Qcross row (see certify_multiclass_exact)."""
+    Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
+    labels = np.asarray(labels, dtype=np.int64)
+    ends = _budget_ends(budgets, labels.size, num_classes, cap)
+    walk = _scan_relabelings(Qtrain, Qcross, labels, num_classes, C, budgets[-1].r,
+                             tol, max_sweeps)
+    _, p_clean = next(walk)
+    yield p_clean
+    c_hat, rows = np.argmax(p_clean, axis=0), np.arange(len(test_ids))
+    best, witness = np.full(rows.size, math.inf), [()] * rows.size
+    for n, (changes, P) in enumerate(walk, 1):
+        best = _improve(best, P[c_hat, rows] - _runner_up(P, c_hat), witness, changes)
+        for _ in range(ends[n]):
+            yield _certificates(test_ids, best, witness)
+
+
+def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
+                              *, cap, tol, max_sweeps):
+    """Relaxed multi-class certificates of every Qcross row (see
+    certify_multiclass_inexact); the K one-vs-all scans run in lockstep."""
+    Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
+    labels = np.asarray(labels, dtype=np.int64)
+    ends = _budget_ends(budgets, labels.size, 2, cap)
+    scans = [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C,
+                         budgets[-1].r, tol, max_sweeps)
+             for c in range(1, num_classes + 1)]
+    rows = np.arange(len(test_ids))
+    low, witness = np.full(rows.size, math.inf), [()] * rows.size
+    high = np.full((num_classes, rows.size), -math.inf)
+    for n, leaves in enumerate(zip(*scans), 1):
+        P = np.array([p for _, p in leaves])
+        if n == 1:
+            c_hat = np.argmax(P, axis=0)
+            yield P
+        low = _improve(low, P[c_hat, rows], witness, leaves[0][0])
+        high = np.where(P > high, P, high)
+        for _ in range(ends[n]):
+            yield _certificates(test_ids, low - _runner_up(high, c_hat), witness)
 
 
 def certify_multiclass_exact(Qtrain, Qcross_t, labels, num_classes, C,
@@ -245,23 +298,10 @@ def certify_multiclass_exact(Qtrain, Qcross_t, labels, num_classes, C,
 
     The witness is a tuple of (node, new_class) pairs.
     """
-    if num_classes < 2:
-        raise ValueError("multi-class certification needs K >= 2")
-    labels = np.asarray(labels, dtype=np.int64)
-    Qcross_t = np.asarray(Qcross_t, dtype=np.float64).reshape(1, -1)
-    _check_capacity(multiclass_leaf_count(labels.size, budget.r, num_classes), cap)
-    p_clean, warm = _ensemble_margins(Qtrain, Qcross_t, labels, num_classes, C,
-                                      tol, max_sweeps)
-    c_hat = int(np.argmax(p_clean)) + 1
-    best, best_witness = math.inf, ()
-    for witness, relabeled in _iter_relabelings(labels, num_classes, budget.r):
-        p, _ = _ensemble_margins(Qtrain, Qcross_t, relabeled, num_classes, C,
-                                 tol, max_sweeps, warm=warm)
-        others = np.delete(p, c_hat - 1)
-        gap = float(p[c_hat - 1] - others.max())
-        if gap < best:
-            best, best_witness = gap, witness
-    return SampleCertificate(t, best > 0.0, best, best_witness)
+    _, (cert,) = reduce_multiclass_exact(
+        Qtrain, np.reshape(Qcross_t, (1, -1)), labels, num_classes, C, [budget], [t],
+        cap=cap, tol=tol, max_sweeps=max_sweeps)
+    return cert
 
 
 def certify_multiclass_inexact(Qtrain, Qcross_t, labels, num_classes, C,
@@ -275,34 +315,10 @@ def certify_multiclass_inexact(Qtrain, Qcross_t, labels, num_classes, C,
     objective, so this certificate never accepts a node the exact one
     rejects. The witness is the flip set minimizing the chat problem.
     """
-    if num_classes < 2:
-        raise ValueError("multi-class certification needs K >= 2")
-    labels = np.asarray(labels, dtype=np.int64)
-    Qcross_t = np.asarray(Qcross_t, dtype=np.float64).reshape(1, -1)
-    p_clean, _ = _ensemble_margins(Qtrain, Qcross_t, labels, num_classes, C,
-                                   tol, max_sweeps)
-    c_hat = int(np.argmax(p_clean)) + 1
-
-    def extremal(c, minimize):
-        yc = one_vs_all_split(labels, c)
-        state = {"best": math.inf if minimize else -math.inf, "witness": ()}
-
-        def visit(flips, ytil, alpha):
-            p = float(margins(alpha, ytil, Qcross_t)[0])
-            if (p < state["best"]) if minimize else (p > state["best"]):
-                state["best"] = p
-                state["witness"] = flips
-
-        _scan_flips(Qtrain, yc, C, budget, cap, tol, max_sweeps, visit)
-        return state["best"], state["witness"]
-
-    lowest_hat, witness = extremal(c_hat, minimize=True)
-    highest_other = max(
-        extremal(c, minimize=False)[0]
-        for c in range(1, num_classes + 1) if c != c_hat
-    )
-    worst = lowest_hat - highest_other
-    return SampleCertificate(t, worst > 0.0, worst, tuple(witness))
+    _, (cert,) = reduce_multiclass_inexact(
+        Qtrain, np.reshape(Qcross_t, (1, -1)), labels, num_classes, C, [budget], [t],
+        cap=cap, tol=tol, max_sweeps=max_sweeps)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ C), the epsilon grid and the certificate kind; `run` executes the
 into plot-ready CSVs, and `validate_ntk` sweeps empirical kernel widths
 against the analytic ones.
 
-Exit codes: 0 success, 2 config error, 3 capacity error in at least one
-grid cell, 4 NTK validation failure. CERTLAB_THREADS caps the worker
-pool.
+Exit codes: 0 success, 1 a grid cell failed with another certlab error
+(after the report bundle is written), 2 config error, 3 capacity error
+in at least one grid cell and no other failure, 4 NTK validation
+failure. CERTLAB_THREADS caps the worker pool.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import numpy as np
 from . import __version__
 from .certify import (
     Budget,
-    certify_collective,
-    certify_multiclass_exact,
-    certify_multiclass_inexact,
-    certify_samples,
     metrics,
+    multiclass_leaf_count,
+    reduce_binary,
+    reduce_multiclass_exact,
+    reduce_multiclass_inexact,
 )
 from .errors import CapacityError, CertlabError, ConfigError
 from .graph import (
@@ -47,8 +48,9 @@ from .graph import (
     save_graph,
 )
 from .milp import build_collective, build_samplewise, write_lp, write_mps
-from .ntk import ArchitectureSpec, kernel_submatrix, ntk_analytic, ntk_empirical, save_kernel
-from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
+from .ntk import (ArchitectureSpec, kernel_submatrix, kernel_to_csv, ntk_analytic,
+                  ntk_empirical, save_kernel)
+from .svm import SvmProblem, margins, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
                      "multiclass-inexact", "export-only")
@@ -184,7 +186,7 @@ class ReportBundle:
     manifest_path: str
     rows: list[dict]
     manifest: dict
-    had_capacity_error: bool
+    failures: dict  # cell key -> the CertlabError that left it without a result
 
 
 def make_graph(config: ExperimentConfig, seed: int) -> Graph:
@@ -253,119 +255,113 @@ def _cell_key(seed: int, arch: str, eps: float) -> str:
     return f"s{seed}|{arch}|e{eps!r}"
 
 
-def _predicted_classes_binary(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0, 2, np.where(p < 0, 1, 0))
-
-
 def _witness_json(w) -> list:
     return [list(x) if isinstance(x, tuple) else int(x) for x in w]
 
 
-def _run_cell(config, graph, kernel, arch, seed, eps):
-    """One (seed, arch, eps) grid cell. Returns (metrics row values,
-    per-node records, witness record)."""
-    name = arch["_name"]
-    C = float(arch["C"])
-    labeled = graph.labeled
-    test = arch["_test"]
-    Qtrain = kernel_submatrix(kernel, labeled, labeled)
-    Qcross = kernel_submatrix(kernel, test, labeled)
-    budget = Budget(eps, labeled.size)
+def _run_cell(config, graph, kernel, arch, seed, epsilons):
+    """One (seed, arch) grid unit: a single scan answers every epsilon.
+
+    Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
+    from the start of the unit. An epsilon past the capacity limit gets its
+    CapacityError; a CertlabError in the scan is the error of every epsilon
+    without a snapshot yet.
+    """
+    start = time.perf_counter()
+    Qtrain = kernel_submatrix(kernel, graph.labeled, graph.labeled)
+    Qcross = kernel_submatrix(kernel, arch["_test"], graph.labeled)
     kind = config.certificate
     if kind in ("multiclass-exact", "multiclass-inexact") and graph.num_classes == 2:
         kind = "sample"  # K=2 one-vs-all is equivalent to the binary pipeline
+    # with K=2 the multi-class leaf count is the binary one
+    leaf_kinds = graph.num_classes if kind == "multiclass-exact" else 2
+    budgets = [Budget(eps, graph.labeled.size) for eps in epsilons]
+    unanswered = [CapacityError(n, config.capacity) for n in
+                  (multiclass_leaf_count(b.m, b.r, leaf_kinds) for b in budgets)
+                  if n > config.capacity and kind != "export-only"]
+    fits = budgets[:len(budgets) - len(unanswered)]
+    outputs = _export_outputs if kind == "export-only" else _scan_outputs
+    results = []
+    try:
+        for out in outputs(config, graph, Qtrain, Qcross, arch, seed, kind, fits) if fits else ():
+            results.append((*out, None, (time.perf_counter() - start) * 1000.0))
+    except ConfigError:
+        raise
+    except CertlabError as exc:
+        unanswered[:0] = [exc] * (len(fits) - len(results))
+    ms = (time.perf_counter() - start) * 1000.0
+    return results + [(None, [], None, err, ms) for err in unanswered]
 
-    if kind == "export-only":
-        return _run_export_cell(config, graph, Qtrain, Qcross, name, seed, eps, C, test)
 
+def _scan_outputs(config, graph, Qtrain, Qcross, arch, seed, kind, budgets):
+    """(row, per_node, witness) of each budget, in step with one scan."""
+    test, labels, C = arch["_test"], graph.labels[graph.labeled], float(arch["C"])
+    opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps)
     if kind in ("sample", "collective"):
-        y = binary_targets(graph)[labeled]
-        clean = solve_dual(SvmProblem(Qtrain, y, C), config.tol, config.max_sweeps)
-        phat = margins(clean.alpha, y, Qcross)
-        truth = graph.labels[test]
-        predicted = _predicted_classes_binary(phat)
-        if kind == "sample":
-            certs = certify_samples(Qtrain, Qcross, y, C, budget, test,
-                                    cap=config.capacity, tol=config.tol,
-                                    max_sweeps=config.max_sweeps)
-            row = metrics(certs, predicted, truth, eps)
+        stream = reduce_binary(Qtrain, Qcross, binary_targets(graph)[graph.labeled], C,
+                               budgets, test, **opts)
+        p = next(stream)
+        predicted = np.where(p > 0, 2, np.where(p < 0, 1, 0))
+        stream = (certs if kind == "sample" else coll for certs, coll in stream)
+    else:
+        reduce = (reduce_multiclass_exact if kind == "multiclass-exact"
+                  else reduce_multiclass_inexact)
+        stream = reduce(Qtrain, Qcross, labels, graph.num_classes, C, budgets, test, **opts)
+        predicted = np.argmax(next(stream), axis=0) + 1
+    truth = graph.labels[test]
+    for budget, result in zip(budgets, stream):
+        if kind == "collective":
+            n_test = len(test)
+            correct = int(np.sum((predicted == truth) & (predicted != 0)))
+            ratio = (n_test - result.max_misclassified) / n_test
+            cert_acc = max(0, correct - result.max_misclassified) / n_test
             per_node = [
-                {"node": c.node, "robust": c.robust,
-                 "worst_objective": c.worst_objective,
-                 "witness": _witness_json(c.witness)}
-                for c in certs
+                {"node": int(t), "misclassified_under_witness": bool(flag)}
+                for t, flag in zip(test, result.misclassified)
             ]
-            witness = {"kind": "sample",
-                       "witnesses": {str(c.node): _witness_json(c.witness) for c in certs}}
-            return row, per_node, witness
-        cert = certify_collective(Qtrain, Qcross, y, C, budget, test,
-                                  cap=config.capacity, tol=config.tol,
-                                  max_sweeps=config.max_sweeps)
-        n_test = len(test)
-        correct = int(np.sum((predicted == truth) & (predicted != 0)))
-        ratio = (n_test - cert.max_misclassified) / n_test
-        cert_acc = max(0, correct - cert.max_misclassified) / n_test
-        row_vals = (ratio, cert_acc, correct / n_test)
-        per_node = [
-            {"node": int(t), "misclassified_under_witness": bool(flag)}
-            for t, flag in zip(test, cert.misclassified)
-        ]
-        witness = {"kind": "collective", "witness": _witness_json(cert.witness),
-                   "max_misclassified": cert.max_misclassified}
-        return row_vals, per_node, witness
-
-    # multi-class with K > 2
-    certify_fn = (certify_multiclass_exact if kind == "multiclass-exact"
-                  else certify_multiclass_inexact)
-    labels_l = graph.labels[labeled]
-    certs, predicted = [], []
-    for row_idx, t in enumerate(test):
-        p = np.empty(graph.num_classes)
-        for c in range(1, graph.num_classes + 1):
-            yc = one_vs_all_split(labels_l, c)
-            sol = solve_dual(SvmProblem(Qtrain, yc, C), config.tol, config.max_sweeps)
-            p[c - 1] = margins(sol.alpha, yc, Qcross[row_idx])[0]
-        predicted.append(int(np.argmax(p)) + 1)
-        certs.append(certify_fn(Qtrain, Qcross[row_idx], labels_l,
-                                graph.num_classes, C, budget, int(t),
-                                cap=config.capacity, tol=config.tol,
-                                max_sweeps=config.max_sweeps))
-    row = metrics(certs, predicted, graph.labels[test], eps)
-    per_node = [
-        {"node": c.node, "robust": c.robust, "worst_objective": c.worst_objective,
-         "witness": _witness_json(c.witness)}
-        for c in certs
-    ]
-    witness = {"kind": kind,
-               "witnesses": {str(c.node): _witness_json(c.witness) for c in certs}}
-    return row, per_node, witness
+            witness = {"kind": "collective", "witness": _witness_json(result.witness),
+                       "max_misclassified": result.max_misclassified}
+            yield (ratio, cert_acc, correct / n_test), per_node, witness
+        else:
+            per_node = [
+                {"node": c.node, "robust": c.robust, "worst_objective": c.worst_objective,
+                 "witness": _witness_json(c.witness)}
+                for c in result
+            ]
+            witness = {"kind": kind,
+                       "witnesses": {str(c.node): _witness_json(c.witness) for c in result}}
+            row = metrics(result, predicted, truth, budget.epsilon)
+            yield ((row.certified_ratio, row.certified_accuracy, row.clean_accuracy),
+                   per_node, witness)
 
 
-def _run_export_cell(config, graph, Qtrain, Qcross, name, seed, eps, C, test):
+def _export_outputs(config, graph, Qtrain, Qcross, arch, seed, kind, budgets):
+    name, C, test = arch["_name"], float(arch["C"]), arch["_test"]
     y = binary_targets(graph)[graph.labeled]
     clean = solve_dual(SvmProblem(Qtrain, y, C), config.tol, config.max_sweeps)
     phat = margins(clean.alpha, y, Qcross)
     export_dir = os.path.join(config.output_dir, "exports")
     os.makedirs(export_dir, exist_ok=True)
-    written = []
-    if config.export_model == "collective":
-        keep = phat != 0.0
-        model = build_collective(Qtrain, Qcross[keep], y, C, eps, phat[keep],
-                                 test_ids=np.asarray(test)[keep])
-        base = os.path.join(export_dir, f"collective_s{seed}_{name}_e{eps}")
-        write_mps(model, base + ".mps")
-        write_lp(model, base + ".lp")
-        written.append(base + ".mps")
-    else:
-        for row_idx, t in enumerate(test):
-            if phat[row_idx] == 0.0:
-                continue  # non-robust by convention; nothing to solve
-            model = build_samplewise(Qtrain, Qcross[row_idx], y, C, eps,
-                                     int(np.sign(phat[row_idx])), node=int(t))
-            base = os.path.join(export_dir, f"sample_s{seed}_{name}_e{eps}_n{t}")
+    for eps in (b.epsilon for b in budgets):
+        written = []
+        if config.export_model == "collective":
+            keep = phat != 0.0
+            model = build_collective(Qtrain, Qcross[keep], y, C, eps, phat[keep],
+                                     test_ids=np.asarray(test)[keep])
+            base = os.path.join(export_dir, f"collective_s{seed}_{name}_e{eps}")
             write_mps(model, base + ".mps")
+            write_lp(model, base + ".lp")
             written.append(base + ".mps")
-    return None, [], {"kind": "export-only", "files": sorted(written)}
+        else:
+            for row_idx, t in enumerate(test):
+                if phat[row_idx] == 0.0:
+                    continue  # non-robust by convention; nothing to solve
+                model = build_samplewise(Qtrain, Qcross[row_idx], y, C, eps,
+                                         int(np.sign(phat[row_idx])), node=int(t))
+                base = os.path.join(export_dir, f"sample_s{seed}_{name}_e{eps}_n{t}")
+                write_mps(model, base + ".mps")
+                written.append(base + ".mps")
+        yield None, [], {"kind": "export-only", "files": sorted(written)}
 
 
 def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
@@ -394,23 +390,15 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             a["_name"], a["_test"] = name, test
             prepared[(seed, name)] = (graph, kernel, a)
 
-    cells = [(seed, order, name, eps)
-             for seed in seeds for order, name, _ in arch_list for eps in epsilons]
+    units = [(seed, order, name) for seed in seeds for order, name, _ in arch_list]
 
-    def exec_cell(cell):
-        seed, order, name, eps = cell
-        graph, kernel, arch = prepared[(seed, name)]
-        start = time.perf_counter()
-        try:
-            row, per_node, witness = _run_cell(config, graph, kernel, arch, seed, eps)
-            err = None
-        except CapacityError as exc:
-            row, per_node, witness, err = None, [], None, str(exc)
-        ms = (time.perf_counter() - start) * 1000.0
-        return cell, row, per_node, witness, err, ms
+    def exec_unit(unit):
+        seed, order, name = unit
+        cells = _run_cell(config, *prepared[(seed, name)], seed, epsilons)
+        return [((seed, order, name, eps), *cell) for eps, cell in zip(epsilons, cells)]
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(exec_cell, cells))
+        results = [cell for cells in pool.map(exec_unit, units) for cell in cells]
 
     results.sort(key=lambda r: (r[0][0], r[0][1], r[0][3]))
     timings, errors, rows, per_node_all, witness_all = {}, {}, [], [], {}
@@ -424,12 +412,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             if witness is not None:
                 witness_all[key] = witness
             continue
-        if err is not None:
-            vals = (float("nan"), float("nan"), float("nan"))
-        elif hasattr(row, "certified_ratio"):
-            vals = (row.certified_ratio, row.certified_accuracy, row.clean_accuracy)
-        else:
-            vals = row
+        vals = (float("nan"),) * 3 if err is not None else row
         rows.append({
             "seed": seed, "arch": name, "epsilon": eps,
             "kind": config.certificate,
@@ -466,7 +449,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             "python": sys.version.split()[0],
         },
         "timings": timings,
-        "errors": errors,
+        "errors": {key: str(err) for key, err in errors.items()},
     }
     manifest_path = os.path.join(config.output_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
@@ -474,7 +457,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         fh.write("\n")
     return ReportBundle(config.output_dir, metrics_path, per_node_path,
                         witness_path, manifest_path, rows, manifest,
-                        had_capacity_error=bool(errors))
+                        failures=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +600,7 @@ def main(argv=None) -> int:
                     kernel = ntk_analytic(make_arch_spec(arch, graph), graph)
                     path = os.path.join(config.output_dir, f"kernel_seed{seed}_{name}.knl")
                     save_kernel(kernel, path)
-                    np.savetxt(path.replace(".knl", ".csv"), kernel.Q, delimiter=",")
+                    kernel_to_csv(kernel, path.replace(".knl", ".csv"))
                     print(path)
             return 0
 
@@ -627,7 +610,11 @@ def main(argv=None) -> int:
             bundle = run(config, eps_filter=eps_filter, arch_filter=arch_filter,
                          seed_filter=seed_filter)
             print(bundle.metrics_path)
-            return 3 if bundle.had_capacity_error else 0
+            failed = {k: e for k, e in bundle.failures.items()
+                      if not isinstance(e, CapacityError)}
+            for key, exc in failed.items():
+                print(f"error: {key}: {exc}", file=sys.stderr)
+            return 1 if failed else 3 if bundle.failures else 0
 
         if args.command == "validate-ntk":
             rows, ok, out = validate_ntk(config, arch_filter=arch_filter)

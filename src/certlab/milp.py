@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import Budget
 from .svm import SvmProblem, kkt_check, margins, one_vs_all_split, solve_dual
 
 INF = math.inf
@@ -148,12 +149,6 @@ def margin_bounds(Qcross: np.ndarray, C: float) -> MarginBounds:
     return MarginBounds(-h, h)
 
 
-def flip_budget(epsilon: float, m: int) -> int:
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return int(math.floor(epsilon * m + 1e-9))
-
-
 class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
@@ -251,7 +246,7 @@ def build_samplewise(Qtrain, Qcross_t, y, C, epsilon, sign_phat,
     if sign_phat not in (1, -1, 1.0, -1.0):
         raise ValueError("sign_phat must be +1 or -1")
     m = y.size
-    r = flip_budget(epsilon, m)
+    r = Budget(epsilon, m).r
     b = _Builder()
     _samplewise_block(b, Qtrain, y, C, r)
     objective = Objective("min", [(float(sign_phat) * float(qrow[i]), f"z_{i}")
@@ -285,7 +280,7 @@ def build_collective(Qtrain, Qcross, y, C, epsilon, phat,
         test_ids = list(range(Qcross.shape[0]))
     test_ids = [int(t) for t in test_ids]
     m = y.size
-    r = flip_budget(epsilon, m)
+    r = Budget(epsilon, m).r
     mb = margin_bounds(Qcross, C)
     b = _Builder()
     _samplewise_block(b, Qtrain, y, C, r)
@@ -322,7 +317,7 @@ def build_multiclass(Qtrain, Qcross_t, labels, num_classes, C, epsilon, c_hat,
     if not 1 <= c_hat <= num_classes:
         raise ValueError("c_hat must be a class in [1, K]")
     m = labels.size
-    r = flip_budget(epsilon, m)
+    r = Budget(epsilon, m).r
     pu = float(C * np.abs(qrow).sum())
     pl = -pu
     b = _Builder()

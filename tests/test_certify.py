@@ -16,7 +16,16 @@ from certlab import (
     metrics,
     solve_dual,
 )
-from certlab.certify import binary_leaf_count, multiclass_leaf_count
+from certlab.certify import (
+    DEFAULT_CAPACITY,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
+    binary_leaf_count,
+    multiclass_leaf_count,
+    reduce_binary,
+    reduce_multiclass_exact,
+    reduce_multiclass_inexact,
+)
 from conftest import random_psd
 
 
@@ -239,6 +248,71 @@ class TestMulticlass:
         with pytest.raises(CapacityError):
             certify_multiclass_exact(q, qrow, labels, 3, 1.0, Budget(0.5, 9),
                                      t=0, cap=100)
+
+
+class TestReducers:
+    """One scan, many budgets and rows: each snapshot equals its own call."""
+
+    EPSILONS = (0.05, 0.13, 0.15, 0.25, 0.38)  # m=8: r = 0, 1, 1, 2, 3
+    OPTS = dict(cap=DEFAULT_CAPACITY, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS)
+
+    @pytest.mark.parametrize("C", [0.01, 0.7])
+    def test_binary_multi_budget_equals_single_budget_calls(self, C):
+        q, y, qcross, _ = random_instance(70)
+        budgets = [Budget(eps, y.size) for eps in self.EPSILONS]
+        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **self.OPTS)
+        clean = margins(solve_dual(SvmProblem(q, y, C)).alpha, y, qcross)
+        np.testing.assert_array_equal(next(stream), clean)
+        for budget, (certs, coll) in zip(budgets, stream):
+            assert certs == certify_samples(q, qcross, y, C, budget, range(6))
+            single = certify_collective(q, qcross, y, C, budget, range(6))
+            assert coll.max_misclassified == single.max_misclassified
+            assert coll.witness == single.witness
+            np.testing.assert_array_equal(coll.misclassified, single.misclassified)
+        assert next(stream, None) is None
+
+    def test_budgets_must_ascend(self):
+        q, y, qcross, C = random_instance(72)
+        budgets = [Budget(0.25, y.size), Budget(0.13, y.size)]
+        with pytest.raises(ValueError, match="ascending"):
+            next(reduce_binary(q, qcross, y, C, budgets, range(6), **self.OPTS))
+
+    def multiclass_instance(self, seed, m=9, K=3, rows=4):
+        rng = np.random.Generator(np.random.Philox(seed))
+        q = random_psd(rng, m, jitter=0.5)
+        labels = np.repeat(np.arange(1, K + 1), m // K)
+        return q, labels, rng.standard_normal((rows, m))
+
+    def test_multiclass_exact_rows_match_brute_force(self):
+        q, labels, qcross = self.multiclass_instance(73)
+        budgets = [Budget(0.05, 9), Budget(0.12, 9)]  # r = 0, 1
+        stream = reduce_multiclass_exact(q, qcross, labels, 3, 1.0, budgets, range(4),
+                                         **self.OPTS)
+        next(stream)
+        for budget, certs in zip(budgets, stream):
+            flags, worsts = brute_force_oracle(q, qcross, labels, 1.0, budget,
+                                               "multiclass", num_classes=3)
+            assert [c.robust for c in certs] == list(flags)
+            np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
+                                       atol=1e-8)
+
+    @pytest.mark.parametrize("reduce, certify", [
+        (reduce_multiclass_exact, certify_multiclass_exact),
+        (reduce_multiclass_inexact, certify_multiclass_inexact),
+    ])
+    def test_multiclass_rows_match_per_row_calls(self, reduce, certify):
+        q, labels, qcross = self.multiclass_instance(74)
+        budgets = [Budget(eps, 9) for eps in (0.05, 0.12, 0.13, 0.23)]  # r = 0, 1, 1, 2
+        stream = reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **self.OPTS)
+        next(stream)
+        for budget, certs in zip(budgets, stream):
+            for row, cert in enumerate(certs):
+                single = certify(q, qcross[row], labels, 3, 1.0, budget, t=row)
+                assert (cert.node, cert.robust, cert.witness) == (
+                    single.node, single.robust, single.witness)
+                # a batched Q @ v may round differently from a one-row product
+                assert cert.worst_objective == pytest.approx(single.worst_objective,
+                                                              abs=1e-12)
 
 
 class TestKarateCollective:

@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from certlab import load_graph, load_kernel
+import certlab.certify
+from certlab import Graph, load_graph, load_kernel, save_graph
+from certlab.certify import multiclass_leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
-from certlab.errors import ConfigError
+from certlab.errors import ConfigError, ConvergenceError
 
 
 def base_config(out_dir, **overrides):
@@ -167,6 +169,77 @@ class TestRun:
                                           "depth": 1, "conv": "row", "C": 0.01}])
         bundle = run(ExperimentConfig.from_dict(cfg))
         assert len(bundle.rows) == 1
+
+
+def three_class_graph(path, per_class=5, labeled_per_class=2):
+    rng = np.random.Generator(np.random.Philox(7))
+    labels = np.repeat([1, 2, 3], per_class)
+    n = labels.size
+    same = labels[:, None] == labels
+    upper = np.triu(rng.random((n, n)) < np.where(same, 0.6, 0.1), 1)
+    labeled = [int(i) for c in (1, 2, 3)
+               for i in np.flatnonzero(labels == c)[:labeled_per_class]]
+    save_graph(Graph(features=rng.standard_normal((n, 3)) + labels[:, None],
+                     adjacency=(upper | upper.T).astype(float), labels=labels,
+                     labeled=labeled, num_classes=3), path)
+
+
+def count_solves(monkeypatch, fail_at=None):
+    """Counts the dual solves certify makes; the call numbered fail_at raises."""
+    calls = []
+    original = certlab.certify.solve_dual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise ConvergenceError("injected non-convergence", 1.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certlab.certify, "solve_dual", counted)
+    return calls
+
+
+class TestOneScanPerUnit:
+    def test_multiclass_grid_solves_once_per_relabeling(self, tmp_path, monkeypatch):
+        three_class_graph(tmp_path / "g3.json")
+        cfg = base_config(tmp_path / "out",
+                          dataset={"kind": "file", "path": str(tmp_path / "g3.json")},
+                          architectures=[{"name": "gcn", "kind": "gcn", "depth": 1,
+                                          "conv": "row", "C": 0.05}],
+                          certificate="multiclass-exact", epsilons=[0.17, 0.34],
+                          test_nodes={"sample": 4, "seed": 0}, seeds=[0])
+        calls = count_solves(monkeypatch)
+        bundle = run(ExperimentConfig.from_dict(cfg))
+        assert len(bundle.rows) == 2 and not bundle.manifest["errors"]
+        assert len(json.load(open(bundle.per_node_path))) == 2 * 4
+        # K clean solves, then K per relabeling of the largest budget (m=6, r=2),
+        # shared by every test node and every epsilon
+        assert len(calls) == 3 + 3 * multiclass_leaf_count(6, 2, 3)
+
+    def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CERTLAB_THREADS", "1")  # deterministic call order
+        clean_path = write_config(tmp_path, base_config(tmp_path / "clean"), "clean.json")
+        assert main(["certify", "--config", clean_path]) == 0
+        # the first unit (seed 0, gcn) walks 7 leaves for eps=0.2 (m=6, r=1)
+        # and 42 for eps=0.5 (r=3); its 10th solve fails
+        count_solves(monkeypatch, fail_at=10)
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["certify", "--config", path]) == 1
+
+        def science(out):
+            with open(tmp_path / out / "metrics.csv") as fh:
+                return {(r["seed"], r["arch"], r["epsilon"]):
+                        (r["certified_ratio"], r["certified_accuracy"], r["clean_accuracy"])
+                        for r in csv.DictReader(fh)}
+
+        clean, failed = science("clean"), science("out")
+        assert failed.pop(("0", "gcn", "0.5")) == ("nan",) * 3
+        assert "nan" not in clean.pop(("0", "gcn", "0.5"))
+        assert failed == clean  # every other cell, s0|gcn|e0.2 included
+        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        assert manifest["errors"] == {"s0|gcn|e0.5": "injected non-convergence"}
+        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
+        assert "s0|gcn|e0.2" in witnesses and "s0|gcn|e0.5" not in witnesses
 
 
 class TestSubcommands:
