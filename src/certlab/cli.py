@@ -9,7 +9,8 @@ against the analytic ones.
 Exit codes: 0 success, 1 a grid cell failed with another certlab error
 (after the report bundle is written), 2 config error, 3 capacity error
 in at least one grid cell and no other failure, 4 NTK validation
-failure. CERTLAB_THREADS caps the worker pool.
+failure. Units run one after another, in ascending seed order and then
+in config architecture order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +58,8 @@ METRICS_HEADER = "seed,arch,epsilon,kind,certified_ratio,certified_accuracy,clea
 
 
 def worker_count() -> int:
-    env = os.environ.get("CERTLAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CERTLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
+    """Units run serially; the benchmark in `perfbench/` reads this count."""
+    return 1
 
 
 @dataclass
@@ -151,8 +146,18 @@ class ExperimentConfig:
         if isinstance(self.test_nodes, str):
             if self.test_nodes != "all-unlabeled":
                 raise ConfigError("test_nodes must be 'all-unlabeled' or a sample spec")
-        elif not (isinstance(self.test_nodes, dict) and "sample" in self.test_nodes):
-            raise ConfigError("test_nodes must be 'all-unlabeled' or {'sample': k, 'seed': s}")
+        elif not (isinstance(self.test_nodes, dict)
+                  and isinstance(self.test_nodes.get("sample"), int)
+                  and self.test_nodes["sample"] >= 1
+                  and isinstance(self.test_nodes.get("seed", 0), int)):
+            raise ConfigError("test_nodes must be 'all-unlabeled' or {'sample': k, 'seed': s} "
+                              "with integers k >= 1 and s")
+        if not self.seeds:
+            raise ConfigError("need at least one seed")
+        if not self.widths or any(not isinstance(w, int) or w < 8 for w in self.widths):
+            raise ConfigError("widths must be a non-empty list of integers >= 8")
+        if self.nt_samples < 1:
+            raise ConfigError("nt_samples must be at least 1")
 
     def arch_name(self, index: int) -> str:
         return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
@@ -234,6 +239,8 @@ def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
 
 def select_test_nodes(config: ExperimentConfig, graph: Graph, seed: int) -> np.ndarray:
     unl = graph.unlabeled
+    if unl.size == 0:
+        raise ConfigError("the graph has no unlabeled node to certify")
     if isinstance(config.test_nodes, str):
         return unl
     k = int(config.test_nodes["sample"])
@@ -259,7 +266,7 @@ def _witness_json(w) -> list:
     return [list(x) if isinstance(x, tuple) else int(x) for x in w]
 
 
-def _run_cell(config, graph, kernel, arch, seed, epsilons):
+def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons):
     """One (seed, arch) grid unit: a single scan answers every epsilon.
 
     Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
@@ -269,7 +276,7 @@ def _run_cell(config, graph, kernel, arch, seed, epsilons):
     """
     start = time.perf_counter()
     Qtrain = kernel_submatrix(kernel, graph.labeled, graph.labeled)
-    Qcross = kernel_submatrix(kernel, arch["_test"], graph.labeled)
+    Qcross = kernel_submatrix(kernel, test, graph.labeled)
     kind = config.certificate
     if kind in ("multiclass-exact", "multiclass-inexact") and graph.num_classes == 2:
         kind = "sample"  # K=2 one-vs-all is equivalent to the binary pipeline
@@ -283,7 +290,8 @@ def _run_cell(config, graph, kernel, arch, seed, epsilons):
     outputs = _export_outputs if kind == "export-only" else _scan_outputs
     results = []
     try:
-        for out in outputs(config, graph, Qtrain, Qcross, arch, seed, kind, fits) if fits else ():
+        for out in (outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, fits)
+                    if fits else ()):
             results.append((*out, None, (time.perf_counter() - start) * 1000.0))
     except ConfigError:
         raise
@@ -293,9 +301,9 @@ def _run_cell(config, graph, kernel, arch, seed, epsilons):
     return results + [(None, [], None, err, ms) for err in unanswered]
 
 
-def _scan_outputs(config, graph, Qtrain, Qcross, arch, seed, kind, budgets):
+def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets):
     """(row, per_node, witness) of each budget, in step with one scan."""
-    test, labels, C = arch["_test"], graph.labels[graph.labeled], float(arch["C"])
+    labels, C = graph.labels[graph.labeled], float(arch["C"])
     opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps)
     if kind in ("sample", "collective"):
         stream = reduce_binary(Qtrain, Qcross, binary_targets(graph)[graph.labeled], C,
@@ -335,8 +343,8 @@ def _scan_outputs(config, graph, Qtrain, Qcross, arch, seed, kind, budgets):
                    per_node, witness)
 
 
-def _export_outputs(config, graph, Qtrain, Qcross, arch, seed, kind, budgets):
-    name, C, test = arch["_name"], float(arch["C"]), arch["_test"]
+def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets):
+    C = float(arch["C"])
     y = binary_targets(graph)[graph.labeled]
     clean = solve_dual(SvmProblem(Qtrain, y, C), config.tol, config.max_sweeps)
     phat = margins(clean.alpha, y, Qcross)
@@ -368,61 +376,45 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         seed_filter=None) -> ReportBundle:
     """Execute the experiment grid and write the report bundle."""
     os.makedirs(config.output_dir, exist_ok=True)
-    seeds = [s for s in config.seeds if seed_filter is None or s in seed_filter]
+    seeds = sorted(s for s in config.seeds if seed_filter is None or s in seed_filter)
     epsilons = [e for e in config.epsilons if eps_filter is None or e in eps_filter]
-    arch_list = []
-    for i, arch in enumerate(config.architectures):
-        name = config.arch_name(i)
-        if arch_filter is None or name in arch_filter:
-            arch_list.append((i, name, dict(arch)))
-    if not (seeds and epsilons and arch_list):
+    archs = [(config.arch_name(i), arch) for i, arch in enumerate(config.architectures)
+             if arch_filter is None or config.arch_name(i) in arch_filter]
+    if not (seeds and epsilons and archs):
         raise ConfigError("filters removed every grid cell")
 
-    # graphs, kernels and test sets are deterministic; build them up front
-    prepared = {}
+    # kernels all come first: build-then-scan per unit measured 36% more CPU time
+    units = []
     for seed in seeds:
         graph = make_graph(config, seed)
-        for order, name, arch in arch_list:
-            spec = make_arch_spec(arch, graph)
-            kernel = ntk_analytic(spec, graph)
-            test = select_test_nodes(config, graph, seed)
-            a = dict(arch)
-            a["_name"], a["_test"] = name, test
-            prepared[(seed, name)] = (graph, kernel, a)
+        test = select_test_nodes(config, graph, seed)
+        units += [(seed, graph, test, name, arch,
+                   ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
 
-    units = [(seed, order, name) for seed in seeds for order, name, _ in arch_list]
-
-    def exec_unit(unit):
-        seed, order, name = unit
-        cells = _run_cell(config, *prepared[(seed, name)], seed, epsilons)
-        return [((seed, order, name, eps), *cell) for eps, cell in zip(epsilons, cells)]
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = [cell for cells in pool.map(exec_unit, units) for cell in cells]
-
-    results.sort(key=lambda r: (r[0][0], r[0][1], r[0][3]))
     timings, errors, rows, per_node_all, witness_all = {}, {}, [], [], {}
     replay = config.replay_timings or {}
-    for (seed, order, name, eps), row, per_node, witness, err, ms in results:
-        key = _cell_key(seed, name, eps)
-        timings[key] = replay.get(key, ms)
-        if err is not None:
-            errors[key] = err
-        if config.certificate == "export-only":
+    for seed, graph, test, name, arch, kernel in units:
+        cells = _run_cell(config, graph, kernel, arch, name, test, seed, epsilons)
+        for eps, (row, per_node, witness, err, ms) in zip(epsilons, cells):
+            key = _cell_key(seed, name, eps)
+            timings[key] = replay.get(key, ms)
+            if err is not None:
+                errors[key] = err
+            if config.certificate == "export-only":
+                if witness is not None:
+                    witness_all[key] = witness
+                continue
+            vals = (float("nan"),) * 3 if err is not None else row
+            rows.append({
+                "seed": seed, "arch": name, "epsilon": eps,
+                "kind": config.certificate,
+                "certified_ratio": vals[0], "certified_accuracy": vals[1],
+                "clean_accuracy": vals[2], "runtime_ms": timings[key],
+            })
+            for rec in per_node:
+                per_node_all.append({"seed": seed, "arch": name, "epsilon": eps, **rec})
             if witness is not None:
                 witness_all[key] = witness
-            continue
-        vals = (float("nan"),) * 3 if err is not None else row
-        rows.append({
-            "seed": seed, "arch": name, "epsilon": eps,
-            "kind": config.certificate,
-            "certified_ratio": vals[0], "certified_accuracy": vals[1],
-            "clean_accuracy": vals[2], "runtime_ms": timings[key],
-        })
-        for rec in per_node:
-            per_node_all.append({"seed": seed, "arch": name, "epsilon": eps, **rec})
-        if witness is not None:
-            witness_all[key] = witness
 
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
     with open(metrics_path, "w") as fh:
@@ -450,6 +442,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         },
         "timings": timings,
         "errors": {key: str(err) for key, err in errors.items()},
+        "error_kinds": {key: type(err).__name__ for key, err in errors.items()},
     }
     manifest_path = os.path.join(config.output_dir, "manifest.json")
     with open(manifest_path, "w") as fh:

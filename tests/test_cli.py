@@ -70,6 +70,29 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["certify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"test_nodes": {"sample": 0}},
+        {"test_nodes": {"sample": 0}, "certificate": "collective"},
+        {"test_nodes": {"sample": "x"}},
+        {"test_nodes": {"sample": -1}},
+        {"test_nodes": {"sample": 2, "seed": "x"}},
+        {"seeds": []},
+        {"widths": []},
+        {"widths": [4]},
+        {"nt_samples": 0},
+    ])
+    def test_malformed_grid_inputs(self, tmp_path, override):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(base_config(tmp_path / "out", **override))
+
+    def test_graph_without_unlabeled_nodes(self, tmp_path, capsys):
+        three_class_graph(tmp_path / "g.json", per_class=2, labeled_per_class=2)
+        cfg = base_config(tmp_path / "out", certificate="multiclass-exact",
+                          dataset={"kind": "file", "path": str(tmp_path / "g.json")},
+                          test_nodes="all-unlabeled", seeds=[0])
+        assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: the graph has no unlabeled node" in capsys.readouterr().err
+
 
 class TestRun:
     def test_grid_shape_and_header(self, tmp_path):
@@ -83,8 +106,9 @@ class TestRun:
         assert os.path.exists(bundle.witness_path)
         assert os.path.exists(bundle.manifest_path)
 
-    def test_rows_sorted_and_complete(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out"))
+    @pytest.mark.parametrize("seeds", [[0, 1], [1, 0]], ids=["ascending", "descending"])
+    def test_rows_sorted_and_complete(self, tmp_path, seeds):
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out", seeds=seeds))
         bundle = run(cfg)
         with open(bundle.metrics_path) as fh:
             rows = list(csv.DictReader(fh))
@@ -109,18 +133,6 @@ class TestRun:
                         "certified_accuracy", "clean_accuracy"):
                 assert a[key] == b[key]
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg1 = ExperimentConfig.from_dict(base_config(tmp_path / "o1"))
-        monkeypatch.setenv("CERTLAB_THREADS", "1")
-        serial = open(run(cfg1).metrics_path).read()
-        monkeypatch.setenv("CERTLAB_THREADS", "3")
-        cfg2 = ExperimentConfig.from_dict(base_config(tmp_path / "o2"))
-        parallel = open(run(cfg2).metrics_path).read()
-        # runtime columns differ; science columns must not
-        def strip(text):
-            return [",".join(ln.split(",")[:-1]) for ln in text.splitlines()]
-        assert strip(serial) == strip(parallel)
-
     def test_capacity_error_surfaces_without_aborting(self, tmp_path):
         # m=6 labeled: eps=0.2 needs 7 leaves, eps=1.0 needs 64
         cfg = base_config(tmp_path / "out", capacity=8,
@@ -136,6 +148,9 @@ class TestRun:
         assert all(r["certified_ratio"] == "nan" for r in big)
         manifest = json.load(open(tmp_path / "out" / "manifest.json"))
         assert manifest["errors"]
+        assert manifest["error_kinds"] == {key: "CapacityError" for key in manifest["errors"]}
+        assert sorted(manifest["errors"]) == [f"s{s}|{a}|e1.0" for s in (0, 1)
+                                              for a in ("gcn", "lin")]
 
     def test_collective_kind(self, tmp_path):
         cfg = base_config(tmp_path / "out", certificate="collective",
@@ -217,7 +232,6 @@ class TestOneScanPerUnit:
         assert len(calls) == 3 + 3 * multiclass_leaf_count(6, 2, 3)
 
     def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CERTLAB_THREADS", "1")  # deterministic call order
         clean_path = write_config(tmp_path, base_config(tmp_path / "clean"), "clean.json")
         assert main(["certify", "--config", clean_path]) == 0
         # the first unit (seed 0, gcn) walks 7 leaves for eps=0.2 (m=6, r=1)
@@ -238,6 +252,7 @@ class TestOneScanPerUnit:
         assert failed == clean  # every other cell, s0|gcn|e0.2 included
         manifest = json.load(open(tmp_path / "out" / "manifest.json"))
         assert manifest["errors"] == {"s0|gcn|e0.5": "injected non-convergence"}
+        assert manifest["error_kinds"] == {"s0|gcn|e0.5": "ConvergenceError"}
         witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
         assert "s0|gcn|e0.2" in witnesses and "s0|gcn|e0.5" not in witnesses
 
