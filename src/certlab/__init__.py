@@ -43,6 +43,7 @@ from .svm import (
     kkt_check,
     margins,
     one_vs_all_split,
+    saturates,
     solve_dual,
     solve_dual_pg,
 )

@@ -13,6 +13,13 @@ The `certify_*` functions are single-budget calls into them. Prediction
 values are unique across optimal duals, so the enumerated optimum equals
 the corresponding MILP optimum.
 
+Each walk validates its `SvmProblem` up front. In the saturated regime,
+C * max_i sum_j |Q_ij| < 1 (`svm.saturates`, which holds in the paper's
+small-C setting), every leaf's dual is C * 1 whatever the labels, so no
+leaf QP is solved and each leaf costs one `margins` product. Coordinate
+descent lands exactly on C * 1 there as well, so the outputs are identical
+either way. Otherwise each leaf is a warm-started coordinate descent.
+
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
 reference the fast path is tested against.
@@ -34,6 +41,7 @@ from .svm import (
     SvmProblem,
     margins,
     one_vs_all_split,
+    saturates,
     solve_dual,
     solve_dual_pg,
 )
@@ -145,24 +153,40 @@ def _certificates(test_ids, worst, witness):
             for i, t in enumerate(test_ids)]
 
 
+def _leaf_solver(Qtrain, y, C, tol, max_sweeps):
+    """Return solve(ytil, alpha0=None) -> the dual of one leaf of a scan.
+
+    SvmProblem(Qtrain, y, C) is validated once; leaves only flip signs of
+    y. If `saturates(Qtrain, C)`, every leaf's dual is C * 1 and no QP is
+    solved; otherwise each leaf is a coordinate descent from alpha0.
+    """
+    problem = SvmProblem(Qtrain, y, C)
+    if saturates(problem.Qtrain, C):
+        pinned = np.full(problem.m, C, dtype=np.float64)
+        pinned.setflags(write=False)
+        return lambda ytil, alpha0=None: pinned
+    return lambda ytil, alpha0=None: solve_dual(SvmProblem(Qtrain, ytil, C), tol,
+                                                max_sweeps, alpha0=alpha0).alpha
+
+
 def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
     """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
 
-    Each leaf warm-starts from its parent (the set minus its largest
+    A leaf QP warm-starts from its parent (the set minus its largest
     element) and is still solved to tolerance, so warm starts affect speed only.
     """
-    base = solve_dual(SvmProblem(Qtrain, y, C), tol, max_sweeps)
-    yield (), margins(base.alpha, y, Qcross)
-    prev = {(): base.alpha}
+    solve = _leaf_solver(Qtrain, y, C, tol, max_sweeps)
+    base = solve(y)
+    yield (), margins(base, y, Qcross)
+    prev = {(): base}
     for k in range(1, r + 1):
         cur = {}
         for combo in itertools.combinations(range(y.size), k):
             ytil = y.copy()
             ytil[list(combo)] *= -1.0
-            sol = solve_dual(SvmProblem(Qtrain, ytil, C), tol, max_sweeps,
-                             alpha0=prev[combo[:-1]])
-            yield combo, margins(sol.alpha, ytil, Qcross)
-            cur[combo] = sol.alpha
+            alpha = solve(ytil, prev[combo[:-1]])
+            yield combo, margins(alpha, ytil, Qcross)
+            cur[combo] = alpha
         prev = cur
 
 
@@ -230,11 +254,11 @@ def _scan_relabelings(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps
     clean ensemble solved cold (changes None), then every relabeling with at
     most r changed nodes, changes a tuple of (node, new_class) pairs."""
     classes = range(1, num_classes + 1)
+    solve = _leaf_solver(Qtrain, one_vs_all_split(labels, 1), C, tol, max_sweeps)
 
     def ensemble(relabeled, warm):
         ycs = [one_vs_all_split(relabeled, c) for c in classes]
-        alphas = [solve_dual(SvmProblem(Qtrain, yc, C), tol, max_sweeps, alpha0=a0).alpha
-                  for yc, a0 in zip(ycs, warm)]
+        alphas = [solve(yc, a0) for yc, a0 in zip(ycs, warm)]
         return np.array([margins(a, yc, Qcross) for a, yc in zip(alphas, ycs)]), alphas
 
     P, warm = ensemble(labels, [None] * num_classes)

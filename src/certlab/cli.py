@@ -106,9 +106,9 @@ class ExperimentConfig:
                 width_seed=int(doc.get("width_seed", 0)),
                 replay_timings=timings,
             )
+            cfg.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
-        cfg.validate()
         return cfg
 
     @classmethod
@@ -158,6 +158,8 @@ class ExperimentConfig:
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
             raise ConfigError("nt_samples must be at least 1")
+        if self.max_sweeps < 1 or not self.tol > 0.0:
+            raise ConfigError("solver settings need max_sweeps >= 1 and tol > 0")
 
     def arch_name(self, index: int) -> str:
         return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
@@ -221,20 +223,23 @@ def make_graph(config: ExperimentConfig, seed: int) -> Graph:
 
 
 def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
-    kind = arch["kind"]
-    conv = None
-    if kind not in ("mlp", "linear"):
-        conv = normalize_adjacency(graph, arch.get("conv", "row"),
-                                   float(arch.get("beta", 1.0)))
-    return ArchitectureSpec(
-        kind=kind,
-        depth=int(arch.get("depth", 1)),
-        conv=conv,
-        alpha=arch.get("alpha"),
-        power_k=arch.get("power_k"),
-        skip_activation=arch.get("skip_activation", "relu"),
-        activation=arch.get("activation", "relu"),
-    )
+    try:
+        kind = arch["kind"]
+        conv = None
+        if kind not in ("mlp", "linear"):
+            conv = normalize_adjacency(graph, arch.get("conv", "row"),
+                                       float(arch.get("beta", 1.0)))
+        return ArchitectureSpec(
+            kind=kind,
+            depth=int(arch.get("depth", 1)),
+            conv=conv,
+            alpha=arch.get("alpha"),
+            power_k=arch.get("power_k"),
+            skip_activation=arch.get("skip_activation", "relu"),
+            activation=arch.get("activation", "relu"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid architecture {arch}: {exc}") from exc
 
 
 def select_test_nodes(config: ExperimentConfig, graph: Graph, seed: int) -> np.ndarray:

@@ -71,6 +71,24 @@ class KktCertificate:
     complementarity_residual: float
 
 
+def saturates(Qtrain: np.ndarray, C: float) -> bool:
+    """True iff C * max_i sum_j |Q_ij| < 1, so alpha = C * 1 at every labeling.
+
+    Proof: on the box 0 <= alpha <= C, for any labels y in {-1, +1}^m,
+    d/d alpha_i of the dual objective is sum_j y_i y_j Q_ij alpha_j - 1
+    <= C sum_j |Q_ij| - 1 < 0. A coordinate with negative slope on the whole
+    box sits at its upper face at any minimizer, so alpha = C * 1 is the
+    unique optimum. Coordinate descent lands on it exactly: each step's
+    unclipped value old + (1 - g_i) / Q_ii >= (1 - C sum_{j != i} |Q_ij|) / Q_ii
+    exceeds C and is clipped to C (a coordinate with Q_ii = 0 takes the
+    face its positive slope picks, C), unless the slack
+    1 - C max_i sum_j |Q_ij| is within rounding of 0. This is the condition
+    under which `milp.big_m` clamps Mu_i to 0.
+    """
+    rows = np.abs(np.asarray(Qtrain, dtype=np.float64)).sum(axis=1)
+    return bool(C * rows.max(initial=0.0) < 1.0)
+
+
 def _objective(alpha: np.ndarray, h: np.ndarray) -> float:
     return float(-alpha.sum() + 0.5 * alpha @ h @ alpha)
 
@@ -96,6 +114,8 @@ def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
     neighboring flip sets); `order` overrides the index order and
     `sweep_callback(objective)` fires after every sweep, both for tests.
     """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     m, C = problem.m, problem.C
     h = problem.signed_kernel()
     diag = np.diag(h).copy()

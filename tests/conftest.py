@@ -1,12 +1,29 @@
 import numpy as np
 import pytest
 
+import certlab.certify
 from certlab import CsbmParams, normalize_adjacency, sample_csbm
+from certlab.errors import ConvergenceError
 
 
 def random_psd(rng, m, jitter=0.0):
     a = rng.standard_normal((m, m))
     return a @ a.T + jitter * np.eye(m)
+
+
+def count_solves(monkeypatch, fail_at=None):
+    """Counts the dual solves certify makes; the call numbered fail_at raises."""
+    calls = []
+    original = certlab.certify.solve_dual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise ConvergenceError("injected non-convergence", 1.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certlab.certify, "solve_dual", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -208,6 +208,7 @@ def test_criterion_6_big_m_validity_sweep():
           f"{relabelings} relabelings): PASS with zero violations")
 
 
+@pytest.mark.slow
 def test_criterion_7_ntk_validation():
     start = time.monotonic()
     graph = sample_csbm(CsbmParams(n=12, labeled_per_class=3, seed=0))

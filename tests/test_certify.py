@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from certlab import (
     certify_samples,
     margins,
     metrics,
+    one_vs_all_split,
+    saturates,
     solve_dual,
+    solve_dual_pg,
 )
 from certlab.certify import (
     DEFAULT_CAPACITY,
@@ -26,7 +31,7 @@ from certlab.certify import (
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
 )
-from conftest import random_psd
+from conftest import count_solves, random_psd
 
 
 def random_instance(seed, m=8, n_test=6, C=0.7):
@@ -35,6 +40,16 @@ def random_instance(seed, m=8, n_test=6, C=0.7):
     y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
     qcross = rng.standard_normal((n_test, m))
     return q, y, qcross, C
+
+
+OPTS = dict(cap=DEFAULT_CAPACITY, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS)
+
+
+def multiclass_instance(seed, m=9, K=3, rows=4):
+    rng = np.random.Generator(np.random.Philox(seed))
+    q = random_psd(rng, m, jitter=0.5)
+    labels = np.repeat(np.arange(1, K + 1), m // K)
+    return q, labels, rng.standard_normal((rows, m))
 
 
 class TestBudget:
@@ -254,13 +269,12 @@ class TestReducers:
     """One scan, many budgets and rows: each snapshot equals its own call."""
 
     EPSILONS = (0.05, 0.13, 0.15, 0.25, 0.38)  # m=8: r = 0, 1, 1, 2, 3
-    OPTS = dict(cap=DEFAULT_CAPACITY, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS)
 
     @pytest.mark.parametrize("C", [0.01, 0.7])
     def test_binary_multi_budget_equals_single_budget_calls(self, C):
         q, y, qcross, _ = random_instance(70)
         budgets = [Budget(eps, y.size) for eps in self.EPSILONS]
-        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **self.OPTS)
+        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS)
         clean = margins(solve_dual(SvmProblem(q, y, C)).alpha, y, qcross)
         np.testing.assert_array_equal(next(stream), clean)
         for budget, (certs, coll) in zip(budgets, stream):
@@ -275,19 +289,13 @@ class TestReducers:
         q, y, qcross, C = random_instance(72)
         budgets = [Budget(0.25, y.size), Budget(0.13, y.size)]
         with pytest.raises(ValueError, match="ascending"):
-            next(reduce_binary(q, qcross, y, C, budgets, range(6), **self.OPTS))
-
-    def multiclass_instance(self, seed, m=9, K=3, rows=4):
-        rng = np.random.Generator(np.random.Philox(seed))
-        q = random_psd(rng, m, jitter=0.5)
-        labels = np.repeat(np.arange(1, K + 1), m // K)
-        return q, labels, rng.standard_normal((rows, m))
+            next(reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS))
 
     def test_multiclass_exact_rows_match_brute_force(self):
-        q, labels, qcross = self.multiclass_instance(73)
+        q, labels, qcross = multiclass_instance(73)
         budgets = [Budget(0.05, 9), Budget(0.12, 9)]  # r = 0, 1
         stream = reduce_multiclass_exact(q, qcross, labels, 3, 1.0, budgets, range(4),
-                                         **self.OPTS)
+                                         **OPTS)
         next(stream)
         for budget, certs in zip(budgets, stream):
             flags, worsts = brute_force_oracle(q, qcross, labels, 1.0, budget,
@@ -301,9 +309,9 @@ class TestReducers:
         (reduce_multiclass_inexact, certify_multiclass_inexact),
     ])
     def test_multiclass_rows_match_per_row_calls(self, reduce, certify):
-        q, labels, qcross = self.multiclass_instance(74)
+        q, labels, qcross = multiclass_instance(74)
         budgets = [Budget(eps, 9) for eps in (0.05, 0.12, 0.13, 0.23)]  # r = 0, 1, 1, 2
-        stream = reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **self.OPTS)
+        stream = reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **OPTS)
         next(stream)
         for budget, certs in zip(budgets, stream):
             for row, cert in enumerate(certs):
@@ -313,6 +321,79 @@ class TestReducers:
                 # a batched Q @ v may round differently from a one-row product
                 assert cert.worst_objective == pytest.approx(single.worst_objective,
                                                               abs=1e-12)
+
+
+def slack_C(q, slack):
+    """The C at which C * max_i sum_j |Q_ij| equals slack."""
+    return slack / np.abs(q).sum(axis=1).max()
+
+
+def inexact_reference(q, qcross, labels, K, C, r):
+    """Per row, min over flip sets of p_chat minus the largest max over flip
+    sets of another p_c, each leaf a fresh projected-gradient solve."""
+    P = []  # P[c][leaf] = margins of class c + 1 under one flip set
+    for c in range(1, K + 1):
+        yc = one_vs_all_split(labels, c)
+        P.append([])
+        for k in range(r + 1):
+            for combo in itertools.combinations(range(labels.size), k):
+                ytil = yc.copy()
+                ytil[list(combo)] *= -1.0
+                alpha = solve_dual_pg(SvmProblem(q, ytil, C)).alpha
+                P[-1].append(margins(alpha, ytil, qcross))
+    P = np.array(P)  # (K, leaves, rows)
+    rows = np.arange(qcross.shape[0])
+    c_hat = np.argmax(P[:, 0], axis=0)
+    high = P.max(axis=1)
+    high[c_hat, rows] = -np.inf
+    return P[c_hat, :, rows].min(axis=1) - high.max(axis=0)
+
+
+class TestSaturatedShortcut:
+    """C * max rowsum < 1 pins every leaf's dual at C: no QP, same answers."""
+
+    @pytest.mark.parametrize("slack", [0.5, 1.01], ids=["saturated", "just-above"])
+    def test_binary_matches_brute_force(self, slack, monkeypatch):
+        q, y, qcross, _ = random_instance(80)
+        C = slack_C(q, slack)
+        assert saturates(q, C) == (slack < 1)
+        calls = count_solves(monkeypatch)
+        budgets = [Budget(0.13, y.size), Budget(0.25, y.size)]  # r = 1, 2
+        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS)
+        next(stream)
+        for budget, (certs, coll) in zip(budgets, stream):
+            flags, worsts = brute_force_oracle(q, qcross, y, C, budget, "sample")
+            assert [c.robust for c in certs] == list(flags)
+            np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
+                                       atol=1e-9)
+            oracle = brute_force_oracle(q, qcross, y, C, budget, "collective")
+            assert (coll.max_misclassified, coll.witness) == (oracle.max_misclassified,
+                                                              oracle.witness)
+        assert (len(calls) == 0) == (slack < 1)
+
+    @pytest.mark.parametrize("slack", [0.5, 1.01], ids=["saturated", "just-above"])
+    def test_multiclass_matches_brute_force(self, slack, monkeypatch):
+        q, labels, qcross = multiclass_instance(81)
+        C = slack_C(q, slack)
+        assert saturates(q, C) == (slack < 1)
+        calls = count_solves(monkeypatch)
+        budgets = [Budget(0.05, 9), Budget(0.12, 9)]  # r = 0, 1
+        exact = reduce_multiclass_exact(q, qcross, labels, 3, C, budgets, range(4),
+                                        **OPTS)
+        inexact = reduce_multiclass_inexact(q, qcross, labels, 3, C, budgets, range(4),
+                                            **OPTS)
+        next(exact), next(inexact)
+        for budget, certs, relaxed in zip(budgets, exact, inexact):
+            flags, worsts = brute_force_oracle(q, qcross, labels, C, budget,
+                                               "multiclass", num_classes=3)
+            assert [c.robust for c in certs] == list(flags)
+            np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
+                                       atol=1e-9)
+            bound = inexact_reference(q, qcross, labels, 3, C, budget.r)
+            assert [c.robust for c in relaxed] == list(bound > 0.0)
+            np.testing.assert_allclose([c.worst_objective for c in relaxed], bound,
+                                       atol=1e-9)
+        assert (len(calls) == 0) == (slack < 1)
 
 
 class TestKarateCollective:

@@ -9,7 +9,8 @@ import certlab.certify
 from certlab import Graph, load_graph, load_kernel, save_graph
 from certlab.certify import multiclass_leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
-from certlab.errors import ConfigError, ConvergenceError
+from certlab.errors import ConfigError
+from conftest import count_solves
 
 
 def base_config(out_dir, **overrides):
@@ -80,10 +81,26 @@ class TestConfig:
         {"widths": []},
         {"widths": [4]},
         {"nt_samples": 0},
+        {"max_sweeps": 0},
+        {"max_sweeps": -3},
+        {"tol": 0},
+        {"architectures": [{"C": 0.05}]},  # neither kind nor name
+        {"architectures": [{"kind": "gcn", "C": "x"}]},
     ])
     def test_malformed_grid_inputs(self, tmp_path, override):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(tmp_path / "out", **override))
+
+    @pytest.mark.parametrize("command", ["certify", "ntk", "validate-ntk"])
+    @pytest.mark.parametrize("arch", [
+        {"kind": "foo"},
+        {"kind": "gcn", "depth": 0},
+        {"kind": "appnp", "depth": 1},  # no alpha
+    ])
+    def test_malformed_architecture_is_config_error(self, tmp_path, capsys, command, arch):
+        cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: invalid architecture" in capsys.readouterr().err
 
     def test_graph_without_unlabeled_nodes(self, tmp_path, capsys):
         three_class_graph(tmp_path / "g.json", per_class=2, labeled_per_class=2)
@@ -199,19 +216,17 @@ def three_class_graph(path, per_class=5, labeled_per_class=2):
                      labeled=labeled, num_classes=3), path)
 
 
-def count_solves(monkeypatch, fail_at=None):
-    """Counts the dual solves certify makes; the call numbered fail_at raises."""
-    calls = []
-    original = certlab.certify.solve_dual
+def record_saturation(monkeypatch):
+    """Records the `saturates` verdict of every scan certify starts."""
+    verdicts = []
+    original = certlab.certify.saturates
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == fail_at:
-            raise ConvergenceError("injected non-convergence", 1.0)
-        return original(*args, **kwargs)
+    def recorded(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
 
-    monkeypatch.setattr(certlab.certify, "solve_dual", counted)
-    return calls
+    monkeypatch.setattr(certlab.certify, "saturates", recorded)
+    return verdicts
 
 
 class TestOneScanPerUnit:
@@ -223,8 +238,9 @@ class TestOneScanPerUnit:
                                           "conv": "row", "C": 0.05}],
                           certificate="multiclass-exact", epsilons=[0.17, 0.34],
                           test_nodes={"sample": 4, "seed": 0}, seeds=[0])
-        calls = count_solves(monkeypatch)
+        calls, saturated = count_solves(monkeypatch), record_saturation(monkeypatch)
         bundle = run(ExperimentConfig.from_dict(cfg))
+        assert saturated and not any(saturated)  # every scan solves leaf QPs
         assert len(bundle.rows) == 2 and not bundle.manifest["errors"]
         assert len(json.load(open(bundle.per_node_path))) == 2 * 4
         # K clean solves, then K per relabeling of the largest budget (m=6, r=2),
@@ -232,13 +248,18 @@ class TestOneScanPerUnit:
         assert len(calls) == 3 + 3 * multiclass_leaf_count(6, 2, 3)
 
     def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
-        clean_path = write_config(tmp_path, base_config(tmp_path / "clean"), "clean.json")
+        # C = 1 keeps every unit off the saturated shortcut, so each leaf is a solve
+        archs = [dict(a, C=1.0) for a in base_config(tmp_path)["architectures"]]
+        saturated = record_saturation(monkeypatch)
+        clean_path = write_config(tmp_path, base_config(tmp_path / "clean", architectures=archs),
+                                  "clean.json")
         assert main(["certify", "--config", clean_path]) == 0
         # the first unit (seed 0, gcn) walks 7 leaves for eps=0.2 (m=6, r=1)
         # and 42 for eps=0.5 (r=3); its 10th solve fails
         count_solves(monkeypatch, fail_at=10)
-        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        path = write_config(tmp_path, base_config(tmp_path / "out", architectures=archs))
         assert main(["certify", "--config", path]) == 1
+        assert saturated and not any(saturated)
 
         def science(out):
             with open(tmp_path / out / "metrics.csv") as fh:

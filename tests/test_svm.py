@@ -7,6 +7,7 @@ from certlab import (
     kkt_check,
     margins,
     one_vs_all_split,
+    saturates,
     solve_dual,
     solve_dual_pg,
 )
@@ -102,6 +103,30 @@ class TestSolveDual:
         with pytest.raises(ConvergenceError) as err:
             solve_dual(SvmProblem(q, y, 5.0), tol=1e-14, max_sweeps=1)
         assert err.value.residual > 0
+
+    def test_sweep_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            solve_dual(identity_problem(), max_sweeps=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("slack", [0.1, 0.99])
+    def test_saturated_dual_is_exactly_C(self, seed, slack):
+        # the saturated leaf shortcut returns C * 1; coordinate descent must
+        # land on the very same floats, cold or warm-started anywhere in the box
+        rng = np.random.Generator(np.random.Philox(seed))
+        q = random_psd(rng, 12, jitter=0.5)
+        C = slack / np.abs(q).sum(axis=1).max()
+        assert saturates(q, C)
+        for _ in range(5):
+            problem = SvmProblem(q, np.where(rng.random(12) < 0.5, 1.0, -1.0), C)
+            for alpha0 in (None, C * rng.random(12)):
+                alpha = solve_dual(problem, alpha0=alpha0).alpha
+                assert np.all(alpha == np.full(12, C))
+
+    def test_saturates_condition(self):
+        q = np.array([[2.0, -1.0], [-1.0, 3.0]])  # largest absolute row sum 4
+        assert saturates(q, 0.2) and not saturates(q, 0.25) and not saturates(q, 0.3)
+        assert saturates(np.zeros((3, 3)), 1e6)
 
 
 class TestMargins:
