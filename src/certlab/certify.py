@@ -1,19 +1,20 @@
 """Exact certification by structured enumeration with a QP leaf oracle.
 
 Every certificate minimizes (or maximizes) over admissible relabelings.
-Each relabeling space has one walk in size-ascending lexicographic order,
-which yields the margins of every test row: `_scan_flips` over binary
-flip sets, each leaf warm-started from its parent, and `_scan_relabelings`
-over multi-class relabelings, warm-started from the clean duals. No leaf
-depends on the test node or the budget, and a smaller budget's leaves are
-a prefix of the walk, so the `reduce_*` generators answer every test row
-and an ascending list of budgets in one pass: they yield the clean
-margins, then one snapshot per budget as soon as the walk completes it.
-The `certify_*` functions are single-budget calls into them. Prediction
-values are unique across optimal duals, so the enumerated optimum equals
-the corresponding MILP optimum.
+One walk, `_scan_flips`, yields the margins of every test row for each
+binary flip set in size-ascending lexicographic order, each leaf
+warm-started from its parent. The multi-class reducers run it once per
+one-vs-all class; a multi-class relabeling's class-c margins are a leaf
+of the class-c scan, so the exact reducer solves no QP of its own. No
+leaf depends on the test node or the budget, and a smaller budget's
+leaves are a prefix of the walk, so the `reduce_*` generators answer
+every test row and an ascending list of budgets in one pass: they yield
+the clean margins, then one snapshot per budget as soon as the walk
+completes it. The `certify_*` functions are single-budget calls into
+them. Prediction values are unique across optimal duals, so the
+enumerated optimum equals the corresponding MILP optimum.
 
-Each walk validates its `SvmProblem` up front. In the saturated regime,
+Each scan validates its `SvmProblem` up front. In the saturated regime,
 C * max_i sum_j |Q_ij| < 1 (`svm.saturates`, which holds in the paper's
 small-C setting), every leaf's dual is C * 1 whatever the labels, so no
 leaf QP is solved and each leaf costs one `margins` product. Coordinate
@@ -153,30 +154,24 @@ def _certificates(test_ids, worst, witness):
             for i, t in enumerate(test_ids)]
 
 
-def _leaf_solver(Qtrain, y, C, tol, max_sweeps):
-    """Return solve(ytil, alpha0=None) -> the dual of one leaf of a scan.
+def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
+    """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
 
     SvmProblem(Qtrain, y, C) is validated once; leaves only flip signs of
     y. If `saturates(Qtrain, C)`, every leaf's dual is C * 1 and no QP is
-    solved; otherwise each leaf is a coordinate descent from alpha0.
+    solved. Otherwise a leaf QP warm-starts from its parent (the set minus
+    its largest element) and is still solved to tolerance, so warm starts
+    affect speed only.
     """
     problem = SvmProblem(Qtrain, y, C)
     if saturates(problem.Qtrain, C):
         pinned = np.full(problem.m, C, dtype=np.float64)
         pinned.setflags(write=False)
-        return lambda ytil, alpha0=None: pinned
-    return lambda ytil, alpha0=None: solve_dual(SvmProblem(Qtrain, ytil, C), tol,
-                                                max_sweeps, alpha0=alpha0).alpha
-
-
-def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
-    """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
-
-    A leaf QP warm-starts from its parent (the set minus its largest
-    element) and is still solved to tolerance, so warm starts affect speed only.
-    """
-    solve = _leaf_solver(Qtrain, y, C, tol, max_sweeps)
-    base = solve(y)
+        solve = lambda ytil, alpha0: pinned
+    else:
+        solve = lambda ytil, alpha0: solve_dual(
+            SvmProblem(Qtrain, ytil, C), tol, max_sweeps, alpha0=alpha0).alpha
+    base = solve(y, None)
     yield (), margins(base, y, Qcross)
     prev = {(): base}
     for k in range(1, r + 1):
@@ -188,6 +183,12 @@ def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
             yield combo, margins(alpha, ytil, Qcross)
             cur[combo] = alpha
         prev = cur
+
+
+def _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps):
+    """The K one-vs-all flip scans, class c at index c - 1."""
+    return [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C, r, tol, max_sweeps)
+            for c in range(1, num_classes + 1)]
 
 
 def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps):
@@ -249,42 +250,42 @@ def certify_collective(Qtrain, Qcross, y, C, budget: Budget, test_ids,
 # Multi-class certificates (one-vs-all ensembles sharing one kernel)
 # ---------------------------------------------------------------------------
 
-def _scan_relabelings(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps):
-    """Yield (changes, P), P[c - 1] the one-vs-all margins of class c: first the
-    clean ensemble solved cold (changes None), then every relabeling with at
-    most r changed nodes, changes a tuple of (node, new_class) pairs."""
-    classes = range(1, num_classes + 1)
-    solve = _leaf_solver(Qtrain, one_vs_all_split(labels, 1), C, tol, max_sweeps)
-
-    def ensemble(relabeled, warm):
-        ycs = [one_vs_all_split(relabeled, c) for c in classes]
-        alphas = [solve(yc, a0) for yc, a0 in zip(ycs, warm)]
-        return np.array([margins(a, yc, Qcross) for a, yc in zip(alphas, ycs)]), alphas
-
-    P, warm = ensemble(labels, [None] * num_classes)
-    yield None, P
+def _relabeling_margins(labels, scans, r):
+    """Yield (changes, P) per relabeling with at most r changed nodes, by
+    size, combination, assignment: changes holds (node, new_class) pairs and
+    P[c - 1] the class-c margins, those of the leaf of scans[c - 1] flipping
+    the changed nodes moved into or out of c. Each class reads its size-k
+    leaves into its table (flip set -> margins) before the size-k relabelings."""
+    m, classes = len(labels), range(1, len(scans) + 1)
+    tables = [{} for _ in scans]
     for k in range(r + 1):
-        for combo in itertools.combinations(range(labels.size), k):
+        for table, scan in zip(tables, scans):
+            table.update(itertools.islice(scan, math.comb(m, k)))
+        for combo in itertools.combinations(range(m), k):
             spaces = [[c for c in classes if c != labels[i]] for i in combo]
             for assignment in itertools.product(*spaces):
-                relabeled = labels.copy()
-                relabeled[list(combo)] = assignment
-                yield tuple(zip(combo, assignment)), ensemble(relabeled, warm)[0]
+                changes = tuple(zip(combo, assignment))
+                yield changes, np.array([
+                    table[tuple(i for i, new in changes if c in (labels[i], new))]
+                    for c, table in zip(classes, tables)])
 
 
 def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
                             *, cap, tol, max_sweeps):
-    """Exact multi-class certificates of every Qcross row (see certify_multiclass_exact)."""
+    """Exact multi-class certificates of every Qcross row (see
+    certify_multiclass_exact). The margins of every leaf of the K scans are
+    kept: K * binary_leaf_count(m, r) * |T| floats."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
     ends = _budget_ends(budgets, labels.size, num_classes, cap)
-    walk = _scan_relabelings(Qtrain, Qcross, labels, num_classes, C, budgets[-1].r,
-                             tol, max_sweeps)
-    _, p_clean = next(walk)
-    yield p_clean
-    c_hat, rows = np.argmax(p_clean, axis=0), np.arange(len(test_ids))
+    r = budgets[-1].r
+    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps)
+    rows = np.arange(len(test_ids))
     best, witness = np.full(rows.size, math.inf), [()] * rows.size
-    for n, (changes, P) in enumerate(walk, 1):
+    for n, (changes, P) in enumerate(_relabeling_margins(labels.tolist(), scans, r), 1):
+        if n == 1:
+            c_hat = np.argmax(P, axis=0)
+            yield P
         best = _improve(best, P[c_hat, rows] - _runner_up(P, c_hat), witness, changes)
         for _ in range(ends[n]):
             yield _certificates(test_ids, best, witness)
@@ -297,9 +298,8 @@ def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, t
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
     ends = _budget_ends(budgets, labels.size, 2, cap)
-    scans = [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C,
-                         budgets[-1].r, tol, max_sweeps)
-             for c in range(1, num_classes + 1)]
+    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, budgets[-1].r,
+                         tol, max_sweeps)
     rows = np.arange(len(test_ids))
     low, witness = np.full(rows.size, math.inf), [()] * rows.size
     high = np.full((num_classes, rows.size), -math.inf)

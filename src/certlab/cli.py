@@ -27,6 +27,9 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    DEFAULT_CAPACITY,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
     Budget,
     metrics,
     multiclass_leaf_count,
@@ -62,6 +65,11 @@ def worker_count() -> int:
     return 1
 
 
+# config fields with a dataclass default, and how a JSON value converts to them
+OPTIONAL_FIELDS = {"capacity": int, "tol": float, "max_sweeps": int, "export_model": str,
+                   "widths": tuple, "nt_samples": int, "threshold": float, "width_seed": int}
+
+
 @dataclass
 class ExperimentConfig:
     dataset: dict
@@ -71,9 +79,9 @@ class ExperimentConfig:
     test_nodes: object
     seeds: list[int]
     output_dir: str
-    capacity: int = 1_000_000
-    tol: float = 1e-10
-    max_sweeps: int = 100_000
+    capacity: int = DEFAULT_CAPACITY
+    tol: float = DEFAULT_TOL
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     export_model: str = "sample"
     widths: tuple = (256, 1024, 4096)
     nt_samples: int = 20
@@ -96,15 +104,9 @@ class ExperimentConfig:
                 test_nodes=doc.get("test_nodes", "all-unlabeled"),
                 seeds=[int(s) for s in doc.get("seeds", [0])],
                 output_dir=doc.get("output_dir", "certlab_out"),
-                capacity=int(doc.get("capacity", 1_000_000)),
-                tol=float(doc.get("tol", 1e-10)),
-                max_sweeps=int(doc.get("max_sweeps", 100_000)),
-                export_model=doc.get("export_model", "sample"),
-                widths=tuple(doc.get("widths", (256, 1024, 4096))),
-                nt_samples=int(doc.get("nt_samples", 20)),
-                threshold=float(doc.get("threshold", 0.05)),
-                width_seed=int(doc.get("width_seed", 0)),
                 replay_timings=timings,
+                **{name: convert(doc[name]) for name, convert in OPTIONAL_FIELDS.items()
+                   if name in doc},
             )
             cfg.validate()
         except (KeyError, TypeError, ValueError) as exc:
@@ -163,6 +165,17 @@ class ExperimentConfig:
 
     def arch_name(self, index: int) -> str:
         return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
+
+    def select(self, seed_filter=None, arch_filter=None, eps_filter=None):
+        """The seeds, (name, arch) pairs and epsilons the filters keep, in
+        config order; a filter that keeps none of its kind is a config error."""
+        seeds = [s for s in self.seeds if seed_filter is None or s in seed_filter]
+        archs = [(self.arch_name(i), arch) for i, arch in enumerate(self.architectures)
+                 if arch_filter is None or self.arch_name(i) in arch_filter]
+        epsilons = [e for e in self.epsilons if eps_filter is None or e in eps_filter]
+        if not (seeds and archs and epsilons):
+            raise ConfigError("filters removed every grid cell")
+        return seeds, archs, epsilons
 
     def resolved(self) -> dict:
         return {
@@ -380,17 +393,12 @@ def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind,
 def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         seed_filter=None) -> ReportBundle:
     """Execute the experiment grid and write the report bundle."""
+    seeds, archs, epsilons = config.select(seed_filter, arch_filter, eps_filter)
     os.makedirs(config.output_dir, exist_ok=True)
-    seeds = sorted(s for s in config.seeds if seed_filter is None or s in seed_filter)
-    epsilons = [e for e in config.epsilons if eps_filter is None or e in eps_filter]
-    archs = [(config.arch_name(i), arch) for i, arch in enumerate(config.architectures)
-             if arch_filter is None or config.arch_name(i) in arch_filter]
-    if not (seeds and epsilons and archs):
-        raise ConfigError("filters removed every grid cell")
 
     # kernels all come first: build-then-scan per unit measured 36% more CPU time
     units = []
-    for seed in seeds:
+    for seed in sorted(seeds):
         graph = make_graph(config, seed)
         test = select_test_nodes(config, graph, seed)
         units += [(seed, graph, test, name, arch,
@@ -508,16 +516,14 @@ def report(output_dir: str) -> dict:
     return {"certified_vs_eps": curve_path, "plateau_deltas": delta_path}
 
 
-def validate_ntk(config: ExperimentConfig, arch_filter=None):
-    """Width sweep of empirical vs analytic kernels; pass iff the error at
-    the largest width stays within the threshold for every architecture."""
+def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
+    """Width sweep of empirical vs analytic kernels on the first selected seed's
+    graph; pass iff every architecture's error at the largest width is within threshold."""
+    seeds, archs, _ = config.select(seed_filter, arch_filter)
     os.makedirs(config.output_dir, exist_ok=True)
-    graph = make_graph(config, config.seeds[0])
+    graph = make_graph(config, seeds[0])
     rows, all_pass = [], True
-    for i, arch in enumerate(config.architectures):
-        name = config.arch_name(i)
-        if arch_filter is not None and name not in arch_filter:
-            continue
+    for name, arch in archs:
         if arch["kind"] == "linear":
             raise ConfigError("the linear kernel has no width sweep")
         spec = make_arch_spec(arch, graph)
@@ -546,16 +552,6 @@ def validate_ntk(config: ExperimentConfig, arch_filter=None):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", required=True, help="experiment config JSON (or manifest)")
-    p.add_argument("--eps", type=float, nargs="*", default=None,
-                   help="restrict to these epsilon values")
-    p.add_argument("--arch", nargs="*", default=None,
-                   help="restrict to these architecture names")
-    p.add_argument("--seed", type=int, nargs="*", default=None,
-                   help="restrict to these seeds")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="certlab",
@@ -563,7 +559,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("gen", "ntk", "certify", "export", "validate-ntk", "report"):
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="experiment config JSON (or manifest)")
+        p.add_argument("--eps", type=float, nargs="*", default=None,
+                       help="restrict to these epsilon values")
+        p.add_argument("--arch", nargs="*", default=None,
+                       help="restrict to these architecture names")
+        p.add_argument("--seed", type=int, nargs="*", default=None,
+                       help="restrict to these seeds")
     args = parser.parse_args(argv)
 
     try:
@@ -575,10 +577,9 @@ def main(argv=None) -> int:
         if args.command == "gen":
             if config.dataset["kind"] in ("file", "karate"):
                 raise ConfigError("gen requires a generator dataset (csbm or cba)")
+            seeds, _, _ = config.select(seed_filter, arch_filter)
             os.makedirs(config.output_dir, exist_ok=True)
-            for seed in config.seeds:
-                if seed_filter and seed not in seed_filter:
-                    continue
+            for seed in seeds:
                 graph = make_graph(config, seed)
                 path = os.path.join(config.output_dir, f"graph_seed{seed}.json")
                 save_graph(graph, path)
@@ -586,15 +587,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "ntk":
+            seeds, archs, _ = config.select(seed_filter, arch_filter)
             os.makedirs(config.output_dir, exist_ok=True)
-            for seed in config.seeds:
-                if seed_filter and seed not in seed_filter:
-                    continue
+            for seed in seeds:
                 graph = make_graph(config, seed)
-                for i, arch in enumerate(config.architectures):
-                    name = config.arch_name(i)
-                    if arch_filter and name not in arch_filter:
-                        continue
+                for name, arch in archs:
                     kernel = ntk_analytic(make_arch_spec(arch, graph), graph)
                     path = os.path.join(config.output_dir, f"kernel_seed{seed}_{name}.knl")
                     save_kernel(kernel, path)
@@ -615,7 +612,7 @@ def main(argv=None) -> int:
             return 1 if failed else 3 if bundle.failures else 0
 
         if args.command == "validate-ntk":
-            rows, ok, out = validate_ntk(config, arch_filter=arch_filter)
+            rows, ok, out = validate_ntk(config, arch_filter, seed_filter)
             for r in rows:
                 print(f"{r['arch']:>16s} width={r['width']:<6d} "
                       f"err={r['rel_frobenius_error']:.4f} "

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import Budget
-from .svm import SvmProblem, kkt_check, margins, one_vs_all_split, solve_dual
+from .svm import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SvmProblem, kkt_check, margins,
+                  one_vs_all_split, solve_dual)
 
 INF = math.inf
 
@@ -455,7 +456,8 @@ def collective_witness_point(Qtrain, Qcross, y, C, flips, alpha, phat,
 
 
 def multiclass_witness_point(Qtrain, Qcross_t, labels, num_classes, C, c_hat,
-                             witness, tol=1e-10, max_sweeps=100_000) -> dict:
+                             witness, tol=DEFAULT_TOL,
+                             max_sweeps=DEFAULT_MAX_SWEEPS) -> dict:
     """Feasible assignment of the multi-class MILP at a relabeling witness.
 
     Per-class duals are re-solved here; margins are unique across optimal
@@ -585,58 +587,58 @@ def write_lp(model: MilpModel, path) -> None:
     _write_sidecar(model, path)
 
 
-_TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]+)\s+([A-Za-z_][\w]*)")
+_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_TERM_RE = re.compile(rf"([+-])\s*({_NUM})\s+([A-Za-z_]\w*)")
+_ROW_RE = rf"Bounds|(\w+):(.*?)(<=|>=|=)\s*({_NUM})"
+_BOUND_RE = rf"Binaries|End|({_NUM})\s*<=\s*(\w+)\s*<=\s*({_NUM})|(\w+)\s*>=\s*({_NUM})"
 
 
 def _parse_terms(text: str):
     text = text.strip()
+    if text == "0":
+        return ()
     if not text.startswith(("+", "-")):
         text = "+ " + text
+    if _TERM_RE.sub("", text).strip():
+        raise ValueError(f"malformed linear expression {text!r}")
     return tuple((float(f"{s}{c}"), v) for s, c, v in _TERM_RE.findall(text))
 
 
 def read_lp(path, metadata: dict | None = None) -> MilpModel:
-    """Re-parse the LP subset emitted by :func:`write_lp`."""
+    """Re-parse the LP subset emitted by :func:`write_lp`; any other input
+    raises ValueError naming the file and the line."""
     with open(path) as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    it = iter(raw)
-    first = next(it).strip()
-    sense = "min" if first.lower() == "minimize" else "max"
-    obj_line = next(it).strip()
-    objective = Objective(sense, _parse_terms(obj_line.split(":", 1)[1]))
-    constraints = []
-    line = next(it).strip()
-    assert line == "Subject To"
-    for line in it:
-        line = line.strip()
-        if line == "Bounds":
-            break
-        name, body = line.split(":", 1)
-        msense = re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
-        constraints.append(Constraint(
-            name.strip(), _parse_terms(body[: msense.start()]),
-            msense.group(1), float(msense.group(2))))
-    bounds = []
-    binaries = set()
-    section = "bounds"
-    for line in it:
-        line = line.strip()
-        if line == "Binaries":
-            section = "binaries"
-            continue
-        if line == "End":
-            break
-        if section == "bounds":
-            two_sided = re.match(
-                r"([0-9.eE+-]+)\s*<=\s*([\w]+)\s*<=\s*([0-9.eE+-]+)$", line)
-            if two_sided:
-                lo, name, up = two_sided.groups()
-                bounds.append((name, float(lo), float(up)))
-            else:
-                name, lo = re.match(r"([\w]+)\s*>=\s*([0-9.eE+-]+)$", line).groups()
-                bounds.append((name, float(lo), INF))
-        else:
-            binaries.add(line)
+        lines = [ln.strip() for ln in fh]
+    n = 0
+
+    def take(pattern, what):
+        nonlocal n
+        n += 1
+        text = lines[n - 1] if n <= len(lines) else "the end of the file"
+        found = re.fullmatch(pattern, text)
+        if found is None:
+            raise ValueError(f"expected {what}, got {text!r}")
+        return found
+
+    try:
+        sense = take(r"Minimize|Maximize", "Minimize or Maximize")[0]
+        objective = Objective("min" if sense == "Minimize" else "max",
+                              _parse_terms(take(r"obj:(.*)", "the objective")[1]))
+        take(r"Subject To", "Subject To")
+        constraints = []
+        while (row := take(_ROW_RE, "a constraint or Bounds"))[0] != "Bounds":
+            constraints.append(Constraint(row[1], _parse_terms(row[2]), row[3],
+                                          float(row[4])))
+        bounds = []
+        while (bound := take(_BOUND_RE, "a bound, Binaries or End"))[0] not in (
+                "Binaries", "End"):
+            lo, name, up = bound.group(1, 2, 3) if bound[2] else (bound[5], bound[4], "inf")
+            bounds.append((name, float(lo), float(up)))
+        binaries = set()
+        while bound[0] == "Binaries" and (name := take(r"\w+", "a binary or End")[0]) != "End":
+            binaries.add(name)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{n}: {exc}") from None
     variables = [
         Variable(name, "binary" if name in binaries else "continuous", lo, up)
         for name, lo, up in bounds

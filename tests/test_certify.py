@@ -293,7 +293,8 @@ class TestReducers:
 
     def test_multiclass_exact_rows_match_brute_force(self):
         q, labels, qcross = multiclass_instance(73)
-        budgets = [Budget(0.05, 9), Budget(0.12, 9)]  # r = 0, 1
+        # r = 0, 1, 2: class flip sets of size 2 first appear at r = 2
+        budgets = [Budget(0.05, 9), Budget(0.12, 9), Budget(0.23, 9)]
         stream = reduce_multiclass_exact(q, qcross, labels, 3, 1.0, budgets, range(4),
                                          **OPTS)
         next(stream)

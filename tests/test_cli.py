@@ -7,7 +7,7 @@ import pytest
 
 import certlab.certify
 from certlab import Graph, load_graph, load_kernel, save_graph
-from certlab.certify import multiclass_leaf_count
+from certlab.certify import binary_leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
 from conftest import count_solves
@@ -101,6 +101,19 @@ class TestConfig:
         cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: invalid architecture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--seed", "7"],
+        ["ntk", "--seed", "7"],
+        ["ntk", "--arch", "nosuch"],
+        ["validate-ntk", "--arch", "nosuch"],
+        ["validate-ntk", "--seed", "7"],
+    ], ids=["gen-seed", "ntk-seed", "ntk-arch", "validate-ntk-arch", "validate-ntk-seed"])
+    def test_empty_filter_is_config_error(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main([*argv, "--config", path]) == 2
+        assert "config error: filters removed every grid cell" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_graph_without_unlabeled_nodes(self, tmp_path, capsys):
         three_class_graph(tmp_path / "g.json", per_class=2, labeled_per_class=2)
@@ -229,23 +242,46 @@ def record_saturation(monkeypatch):
     return verdicts
 
 
+def multiclass_grid_config(tmp_path, out="out"):
+    """K = 3, m = 6, |T| = 4 and epsilons with r = 1, 2, on a graph that never saturates."""
+    three_class_graph(tmp_path / "g3.json")
+    return base_config(tmp_path / out,
+                       dataset={"kind": "file", "path": str(tmp_path / "g3.json")},
+                       architectures=[{"name": "gcn", "kind": "gcn", "depth": 1,
+                                       "conv": "row", "C": 0.05}],
+                       certificate="multiclass-exact", epsilons=[0.17, 0.34],
+                       test_nodes={"sample": 4, "seed": 0}, seeds=[0])
+
+
 class TestOneScanPerUnit:
-    def test_multiclass_grid_solves_once_per_relabeling(self, tmp_path, monkeypatch):
-        three_class_graph(tmp_path / "g3.json")
-        cfg = base_config(tmp_path / "out",
-                          dataset={"kind": "file", "path": str(tmp_path / "g3.json")},
-                          architectures=[{"name": "gcn", "kind": "gcn", "depth": 1,
-                                          "conv": "row", "C": 0.05}],
-                          certificate="multiclass-exact", epsilons=[0.17, 0.34],
-                          test_nodes={"sample": 4, "seed": 0}, seeds=[0])
+    def test_multiclass_grid_solves_once_per_flip_set_per_class(self, tmp_path, monkeypatch):
         calls, saturated = count_solves(monkeypatch), record_saturation(monkeypatch)
-        bundle = run(ExperimentConfig.from_dict(cfg))
+        bundle = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path)))
         assert saturated and not any(saturated)  # every scan solves leaf QPs
         assert len(bundle.rows) == 2 and not bundle.manifest["errors"]
         assert len(json.load(open(bundle.per_node_path))) == 2 * 4
-        # K clean solves, then K per relabeling of the largest budget (m=6, r=2),
-        # shared by every test node and every epsilon
-        assert len(calls) == 3 + 3 * multiclass_leaf_count(6, 2, 3)
+        # one solve per flip set of the largest budget (m=6, r=2) in each of the
+        # K one-vs-all scans, shared by every relabeling, test node and epsilon
+        assert len(calls) == 3 * binary_leaf_count(6, 2)
+
+    def test_multiclass_convergence_error_keeps_smaller_budget(self, tmp_path, monkeypatch):
+        clean = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path, "clean")))
+        # the scans read their 3 clean leaves and 3 * 6 leaves of size 1 before
+        # the first size-2 leaf, which belongs to the eps=0.34 budget (r=2)
+        count_solves(monkeypatch, fail_at=3 + 3 * 6 + 1)
+        path = write_config(tmp_path, multiclass_grid_config(tmp_path))
+        assert main(["certify", "--config", path]) == 1
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        science = ("certified_ratio", "certified_accuracy", "clean_accuracy")
+        assert [rows[0][k] for k in science] == [repr(clean.rows[0][k]) for k in science]
+        assert [rows[1][k] for k in science] == ["nan"] * 3
+        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        assert manifest["errors"] == {"s0|gcn|e0.34": "injected non-convergence"}
+        assert manifest["error_kinds"] == {"s0|gcn|e0.34": "ConvergenceError"}
+        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
+        assert list(witnesses) == ["s0|gcn|e0.17"]
+        assert witnesses["s0|gcn|e0.17"] == json.load(open(clean.witness_path))["s0|gcn|e0.17"]
 
     def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
         # C = 1 keeps every unit off the saturated shortcut, so each leaf is a solve

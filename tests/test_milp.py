@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -317,3 +318,23 @@ class TestWriters:
         assert "0.1 " in text and "0.2" in text  # no 0.1000000000000000055 blowups
         back = read_lp(path)
         assert back.constraints == model.constraints
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: [], 1, "expected Minimize or Maximize"),
+        (lambda lines: lines[:2] + lines[3:], 3, "expected Subject To"),
+        (lambda lines: [ln.replace("obj: 1.0 z_0", "obj: 1.0 z_0 junk") for ln in lines],
+         2, "malformed linear expression"),
+        (lambda lines: [ln.replace(">= -1.0", ">> -1.0") for ln in lines],
+         4, "expected a constraint or Bounds"),
+        (lambda lines: [ln.replace("u_0 >= 0.0", "u_0 >= oops") for ln in lines],
+         24, "expected a bound, Binaries or End"),
+        (lambda lines: lines[:-1], 33, "got 'the end of the file'"),
+    ], ids=["empty", "no-subject-to", "junk-term", "bad-sense", "bad-bound", "no-end"])
+    def test_read_lp_rejects_malformed_files(self, tmp_path, edit, line, message):
+        model = build_samplewise(np.array([[1.0]]), np.array([1.0]), np.array([1.0]),
+                                 C=1.0, epsilon=1.0, sign_phat=1, node=0)
+        path = tmp_path / "m.lp"
+        write_lp(model, path)
+        path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*" + message):
+            read_lp(path)
