@@ -44,6 +44,7 @@ from .svm import (
     margins,
     one_vs_all_split,
     saturates,
+    solve_active_set,
     solve_dual,
     solve_dual_pg,
 )

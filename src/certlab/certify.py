@@ -19,7 +19,14 @@ C * max_i sum_j |Q_ij| < 1 (`svm.saturates`, which holds in the paper's
 small-C setting), every leaf's dual is C * 1 whatever the labels, so no
 leaf QP is solved and each leaf costs one `margins` product. Coordinate
 descent lands exactly on C * 1 there as well, so the outputs are identical
-either way. Otherwise each leaf is a warm-started coordinate descent.
+either way. Otherwise the clean leaf is a cold coordinate descent and
+every other leaf's dual a `solve_active_set` step guessed from its
+parent's dual: a direct solve of the free block, accepted only if it
+passes coordinate descent's own stopping test on a fresh gradient. When no
+guess verifies within a few rounds, or the free block is singular, the
+leaf falls back to coordinate descent warm-started from the parent. A
+`ScanStats` passed to a reducer counts the leaves, the verified ones and
+the fallbacks.
 
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
@@ -43,6 +50,7 @@ from .svm import (
     margins,
     one_vs_all_split,
     saturates,
+    solve_active_set,
     solve_dual,
     solve_dual_pg,
 )
@@ -102,6 +110,19 @@ class MetricsRow:
             raise ValueError("certified accuracy cannot exceed ratio or clean accuracy")
 
 
+@dataclass
+class ScanStats:
+    """Deterministic counters of the leaves the flip scans of a unit walked.
+
+    Only unsaturated child leaves are verified or fall back; a clean leaf
+    and a saturated leaf count in `leaves` alone.
+    """
+
+    leaves: int = 0
+    verified_leaves: int = 0  # child duals accepted from solve_active_set
+    cd_fallbacks: int = 0     # child duals solved by coordinate descent instead
+
+
 def binary_leaf_count(m: int, r: int) -> int:
     return sum(math.comb(m, k) for k in range(r + 1))
 
@@ -137,6 +158,8 @@ def _test_rows(Qcross, test_ids, num_classes=2):
 def _improve(best, value, witness, changes):
     """Row-wise running minimum; `changes` becomes the witness where value < best."""
     better = value < best
+    if not better.any():
+        return best
     for i in np.flatnonzero(better):
         witness[i] = changes
     return np.where(better, value, best)
@@ -154,24 +177,45 @@ def _certificates(test_ids, worst, witness):
             for i, t in enumerate(test_ids)]
 
 
-def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
+def _solve_leaf(Qtrain, ytil, C, alpha0, tol, max_sweeps, stats):
+    """The dual of one unsaturated leaf; Qtrain is already validated.
+
+    A child leaf takes the `solve_active_set` dual guessed from its parent's
+    dual alpha0 if that verifies, and otherwise a coordinate descent
+    warm-started from alpha0 (counted in `stats`). The clean leaf (alpha0
+    None) is a cold coordinate descent, the same floats as every other
+    clean solve of the problem.
+    """
+    if alpha0 is not None:
+        alpha = solve_active_set(Qtrain, ytil, C, alpha0, tol)
+        if alpha is not None:
+            stats.verified_leaves += 1
+            return alpha
+        stats.cd_fallbacks += 1
+    return solve_dual(SvmProblem(Qtrain, ytil, C), tol, max_sweeps, alpha0=alpha0).alpha
+
+
+def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats=None):
     """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
 
     SvmProblem(Qtrain, y, C) is validated once; leaves only flip signs of
     y. If `saturates(Qtrain, C)`, every leaf's dual is C * 1 and no QP is
-    solved. Otherwise a leaf QP warm-starts from its parent (the set minus
-    its largest element) and is still solved to tolerance, so warm starts
-    affect speed only.
+    solved. Otherwise each leaf is one `_solve_leaf`, a child guessed or
+    warm-started from its parent (the set minus its largest element). Every
+    dual passes the same stopping test, so warm starts affect speed only.
+    `stats` (a ScanStats) counts the leaves.
     """
+    stats = ScanStats() if stats is None else stats
     problem = SvmProblem(Qtrain, y, C)
     if saturates(problem.Qtrain, C):
         pinned = np.full(problem.m, C, dtype=np.float64)
         pinned.setflags(write=False)
         solve = lambda ytil, alpha0: pinned
     else:
-        solve = lambda ytil, alpha0: solve_dual(
-            SvmProblem(Qtrain, ytil, C), tol, max_sweeps, alpha0=alpha0).alpha
+        solve = lambda ytil, alpha0: _solve_leaf(problem.Qtrain, ytil, C, alpha0, tol,
+                                                 max_sweeps, stats)
     base = solve(y, None)
+    stats.leaves += 1
     yield (), margins(base, y, Qcross)
     prev = {(): base}
     for k in range(1, r + 1):
@@ -180,34 +224,38 @@ def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps):
             ytil = y.copy()
             ytil[list(combo)] *= -1.0
             alpha = solve(ytil, prev[combo[:-1]])
+            stats.leaves += 1
             yield combo, margins(alpha, ytil, Qcross)
             cur[combo] = alpha
         prev = cur
 
 
-def _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps):
+def _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats):
     """The K one-vs-all flip scans, class c at index c - 1."""
-    return [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C, r, tol, max_sweeps)
-            for c in range(1, num_classes + 1)]
+    return [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C, r, tol, max_sweeps,
+                        stats) for c in range(1, num_classes + 1)]
 
 
-def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps):
+def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
+                  stats=None):
     """Per budget, the sample-wise SampleCertificate list and the
-    CollectiveCertificate of the Qcross rows, both from the same leaves."""
+    CollectiveCertificate of the Qcross rows, both from the same leaves.
+    Every reducer counts the leaves of its scans into `stats`, if given."""
     Qcross, test_ids = _test_rows(Qcross, test_ids)
     y = np.asarray(y, dtype=np.float64)
     ends = _budget_ends(budgets, y.size, 2, cap)
     best, witness, most = np.full(len(test_ids), math.inf), [()] * len(test_ids), -1
-    leaves = _scan_flips(Qtrain, Qcross, y, C, budgets[-1].r, tol, max_sweeps)
+    leaves = _scan_flips(Qtrain, Qcross, y, C, budgets[-1].r, tol, max_sweeps, stats)
     for n, (flips, p) in enumerate(leaves, 1):
         if n == 1:
             sign = np.sign(p)
             zero = sign == 0.0
+            defined = ~zero
             yield p
         objective = sign * p
         best = _improve(best, objective, witness, flips)
         broken = objective <= 0.0
-        count = int(np.sum(broken & ~zero))
+        count = int(np.count_nonzero(broken & defined))
         if count > most:
             most, collective = count, (flips, broken | zero)
         for _ in range(ends[n]):
@@ -271,7 +319,7 @@ def _relabeling_margins(labels, scans, r):
 
 
 def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
-                            *, cap, tol, max_sweeps):
+                            *, cap, tol, max_sweeps, stats=None):
     """Exact multi-class certificates of every Qcross row (see
     certify_multiclass_exact). The margins of every leaf of the K scans are
     kept: K * binary_leaf_count(m, r) * |T| floats."""
@@ -279,7 +327,7 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
     labels = np.asarray(labels, dtype=np.int64)
     ends = _budget_ends(budgets, labels.size, num_classes, cap)
     r = budgets[-1].r
-    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps)
+    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats)
     rows = np.arange(len(test_ids))
     best, witness = np.full(rows.size, math.inf), [()] * rows.size
     for n, (changes, P) in enumerate(_relabeling_margins(labels.tolist(), scans, r), 1):
@@ -292,14 +340,14 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
 
 
 def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
-                              *, cap, tol, max_sweeps):
+                              *, cap, tol, max_sweeps, stats=None):
     """Relaxed multi-class certificates of every Qcross row (see
     certify_multiclass_inexact); the K one-vs-all scans run in lockstep."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
     ends = _budget_ends(budgets, labels.size, 2, cap)
     scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, budgets[-1].r,
-                         tol, max_sweeps)
+                         tol, max_sweeps, stats)
     rows = np.arange(len(test_ids))
     low, witness = np.full(rows.size, math.inf), [()] * rows.size
     high = np.full((num_classes, rows.size), -math.inf)

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .certify import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     Budget,
+    ScanStats,
     metrics,
     multiclass_leaf_count,
     reduce_binary,
@@ -284,11 +285,12 @@ def _witness_json(w) -> list:
     return [list(x) if isinstance(x, tuple) else int(x) for x in w]
 
 
-def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons):
+def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons, stats):
     """One (seed, arch) grid unit: a single scan answers every epsilon.
 
     Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
-    from the start of the unit. An epsilon past the capacity limit gets its
+    from the start of the unit, and counts the scan's leaves into `stats`
+    (an export walks none). An epsilon past the capacity limit gets its
     CapacityError; a CertlabError in the scan is the error of every epsilon
     without a snapshot yet.
     """
@@ -308,8 +310,8 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons):
     outputs = _export_outputs if kind == "export-only" else _scan_outputs
     results = []
     try:
-        for out in (outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, fits)
-                    if fits else ()):
+        for out in (outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, fits,
+                            stats) if fits else ()):
             results.append((*out, None, (time.perf_counter() - start) * 1000.0))
     except ConfigError:
         raise
@@ -319,10 +321,12 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons):
     return results + [(None, [], None, err, ms) for err in unanswered]
 
 
-def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets):
+def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
+                  stats):
     """(row, per_node, witness) of each budget, in step with one scan."""
     labels, C = graph.labels[graph.labeled], float(arch["C"])
-    opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps)
+    opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps,
+                stats=stats)
     if kind in ("sample", "collective"):
         stream = reduce_binary(Qtrain, Qcross, binary_targets(graph)[graph.labeled], C,
                                budgets, test, **opts)
@@ -361,7 +365,8 @@ def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, b
                    per_node, witness)
 
 
-def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets):
+def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
+                    stats):
     C = float(arch["C"])
     y = binary_targets(graph)[graph.labeled]
     clean = solve_dual(SvmProblem(Qtrain, y, C), config.tol, config.max_sweeps)
@@ -404,10 +409,11 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         units += [(seed, graph, test, name, arch,
                    ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
 
-    timings, errors, rows, per_node_all, witness_all = {}, {}, [], [], {}
+    timings, errors, rows, per_node_all, witness_all, stats = {}, {}, [], [], {}, {}
     replay = config.replay_timings or {}
     for seed, graph, test, name, arch, kernel in units:
-        cells = _run_cell(config, graph, kernel, arch, name, test, seed, epsilons)
+        unit_stats = stats[f"s{seed}|{name}"] = ScanStats()
+        cells = _run_cell(config, graph, kernel, arch, name, test, seed, epsilons, unit_stats)
         for eps, (row, per_node, witness, err, ms) in zip(epsilons, cells):
             key = _cell_key(seed, name, eps)
             timings[key] = replay.get(key, ms)
@@ -454,6 +460,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             "python": sys.version.split()[0],
         },
         "timings": timings,
+        "stats": {key: asdict(unit_stats) for key, unit_stats in stats.items()},
         "errors": {key: str(err) for key, err in errors.items()},
         "error_kinds": {key: type(err).__name__ for key, err in errors.items()},
     }

@@ -11,10 +11,22 @@ def random_psd(rng, m, jitter=0.0):
     return a @ a.T + jitter * np.eye(m)
 
 
+def random_kernel(rng, m, kind="full"):
+    """A PSD kernel block: full rank, rank 2, or with row and column 0 zero."""
+    if kind == "rank-deficient":
+        b = rng.standard_normal((m, 2))
+        return b @ b.T
+    q = random_psd(rng, m)
+    if kind == "zero-diagonal":
+        q[0, :] = q[:, 0] = 0.0
+    return q
+
+
 def count_solves(monkeypatch, fail_at=None):
-    """Counts the dual solves certify makes; the call numbered fail_at raises."""
+    """Counts the leaf solves certify makes, one `_solve_leaf` call per
+    unsaturated leaf; the call numbered fail_at raises."""
     calls = []
-    original = certlab.certify.solve_dual
+    original = certlab.certify._solve_leaf
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -22,7 +34,7 @@ def count_solves(monkeypatch, fail_at=None):
             raise ConvergenceError("injected non-convergence", 1.0)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(certlab.certify, "solve_dual", counted)
+    monkeypatch.setattr(certlab.certify, "_solve_leaf", counted)
     return calls
 
 

@@ -21,17 +21,19 @@ from certlab import (
     solve_dual,
     solve_dual_pg,
 )
+import certlab.certify
 from certlab.certify import (
     DEFAULT_CAPACITY,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
+    ScanStats,
     binary_leaf_count,
     multiclass_leaf_count,
     reduce_binary,
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
 )
-from conftest import count_solves, random_psd
+from conftest import count_solves, random_kernel, random_psd
 
 
 def random_instance(seed, m=8, n_test=6, C=0.7):
@@ -395,6 +397,56 @@ class TestSaturatedShortcut:
             np.testing.assert_allclose([c.worst_objective for c in relaxed], bound,
                                        atol=1e-9)
         assert (len(calls) == 0) == (slack < 1)
+
+
+def oracle_instance(kind, seed=90, m=7, rows=5):
+    """A `random_kernel` of that kind, labels and test rows."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    q = random_kernel(rng, m, kind)
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    return q, y, rng.standard_normal((rows, m))
+
+
+def count_cd_solves(monkeypatch):
+    """Counts the coordinate-descent solves of a scan."""
+    calls = []
+    original = certlab.certify.solve_dual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certlab.certify, "solve_dual", counted)
+    return calls
+
+
+class TestActiveSetLeaves:
+    """Unsaturated leaves take the KKT-verified active-set dual, or fall back to CD."""
+
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "zero-diagonal"])
+    @pytest.mark.parametrize("C", [0.05, 1.0, 10.0])
+    def test_matches_brute_force(self, kind, C, monkeypatch):
+        q, y, qcross = oracle_instance(kind)
+        budget = Budget(0.29, y.size)  # r = 2
+        calls, cd = count_solves(monkeypatch), count_cd_solves(monkeypatch)
+        stats = ScanStats()
+        _, (certs, coll) = reduce_binary(q, qcross, y, C, [budget], range(5),
+                                         stats=stats, **OPTS)
+        flags, worsts = brute_force_oracle(q, qcross, y, C, budget, "sample")
+        assert [c.robust for c in certs] == list(flags)
+        np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
+                                   atol=1e-9 * max(1.0, C))
+        oracle = brute_force_oracle(q, qcross, y, C, budget, "collective")
+        assert (coll.max_misclassified, coll.witness) == (oracle.max_misclassified,
+                                                          oracle.witness)
+        unsaturated = not saturates(q, C)
+        assert stats.leaves == binary_leaf_count(y.size, 2)
+        assert len(calls) == (stats.leaves if unsaturated else 0)
+        # the clean leaf is a cold coordinate descent; every child verifies or falls back
+        assert stats.verified_leaves + stats.cd_fallbacks == len(calls) - unsaturated
+        assert len(cd) == stats.cd_fallbacks + unsaturated
+        if (kind, C) == ("rank-deficient", 10.0):
+            assert stats.cd_fallbacks > 0  # most leaves free more than 2 coordinates
 
 
 class TestKarateCollective:

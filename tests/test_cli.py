@@ -264,6 +264,23 @@ class TestOneScanPerUnit:
         # K one-vs-all scans, shared by every relabeling, test node and epsilon
         assert len(calls) == 3 * binary_leaf_count(6, 2)
 
+    def test_manifest_counts_leaves_per_unit(self, tmp_path, monkeypatch):
+        archs = [dict(a, C=C) for a, C in zip(base_config(tmp_path)["architectures"],
+                                              (1.0, 0.05))]
+        saturated = record_saturation(monkeypatch)
+        bundle = run(ExperimentConfig.from_dict(base_config(tmp_path / "out",
+                                                            architectures=archs)))
+        stats = bundle.manifest["stats"]
+        assert list(stats) == ["s0|gcn", "s0|lin", "s1|gcn", "s1|lin"]
+        assert True in saturated and False in saturated
+        for unit, pinned in zip(stats.values(), saturated):
+            assert unit["leaves"] == binary_leaf_count(6, 3)  # m = 6, eps = 0.5
+            children = unit["verified_leaves"] + unit["cd_fallbacks"]
+            assert children == (0 if pinned else unit["leaves"] - 1)
+        first = open(bundle.manifest_path, "rb").read()
+        replay = run(ExperimentConfig.from_dict(json.load(open(bundle.manifest_path))))
+        assert open(replay.manifest_path, "rb").read() == first
+
     def test_multiclass_convergence_error_keeps_smaller_budget(self, tmp_path, monkeypatch):
         clean = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path, "clean")))
         # the scans read their 3 clean leaves and 3 * 6 leaves of size 1 before

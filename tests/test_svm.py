@@ -8,10 +8,12 @@ from certlab import (
     margins,
     one_vs_all_split,
     saturates,
+    solve_active_set,
     solve_dual,
     solve_dual_pg,
 )
-from conftest import random_psd
+from certlab.svm import DEFAULT_TOL, _violation
+from conftest import random_kernel, random_psd
 
 
 def identity_problem(C=1.0):
@@ -127,6 +129,54 @@ class TestSolveDual:
         q = np.array([[2.0, -1.0], [-1.0, 3.0]])  # largest absolute row sum 4
         assert saturates(q, 0.2) and not saturates(q, 0.25) and not saturates(q, 0.3)
         assert saturates(np.zeros((3, 3)), 1e6)
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "zero-diagonal"])
+    @pytest.mark.parametrize("C", [0.05, 1.0, 10.0])
+    def test_accepted_dual_passes_kkt(self, kind, C):
+        rng = np.random.Generator(np.random.Philox(31))
+        accepted = 0
+        for _ in range(10):
+            q = random_kernel(rng, 8, kind)
+            problem = SvmProblem(q, np.where(rng.random(8) < 0.5, 1.0, -1.0), C)
+            reference, h = solve_dual(problem), problem.signed_kernel()
+            guesses = (np.full(8, C), np.zeros(8), C * rng.random(8), reference.alpha)
+            for guess in guesses:
+                alpha = solve_active_set(problem.Qtrain, problem.y, C, guess)
+                if alpha is None:
+                    continue
+                accepted += 1
+                assert alpha.min() >= 0.0 and alpha.max() <= C
+                assert _violation(alpha, h @ alpha - 1.0, C) < DEFAULT_TOL
+                kkt = kkt_check(problem, alpha)
+                assert kkt.stationarity_residual < DEFAULT_TOL
+                assert kkt.complementarity_residual < 1e-9
+                objective = -alpha.sum() + 0.5 * alpha @ h @ alpha
+                assert objective == pytest.approx(reference.objective,
+                                                  abs=1e-9 * max(1.0, C))
+        assert accepted >= 10
+
+    def test_singular_free_block_returns_none(self):
+        # row 0 of the kernel is zero, so a guess that frees coordinate 0
+        # makes the free block singular
+        q = random_kernel(np.random.Generator(np.random.Philox(32)), 5, "zero-diagonal")
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        assert solve_active_set(q, y, 1.0, np.full(5, 0.5)) is None
+        # from the upper face it stays there: its gradient is -1 at any labels
+        alpha = solve_active_set(q, y, 1.0, np.full(5, 1.0))
+        assert alpha[0] == 1.0
+        np.testing.assert_allclose(alpha, solve_dual(SvmProblem(q, y, 1.0)).alpha, atol=1e-9)
+
+    def test_one_round_verifies_only_the_right_guess(self):
+        rng = np.random.Generator(np.random.Philox(33))
+        q = random_psd(rng, 8)
+        problem = SvmProblem(q, np.where(rng.random(8) < 0.5, 1.0, -1.0), 10.0)
+        optimum = solve_dual(problem).alpha
+        wrong = np.where(optimum >= 10.0, 0.0, 10.0)  # every face the wrong one
+        assert solve_active_set(q, problem.y, 10.0, wrong, rounds=1) is None
+        exact = solve_active_set(q, problem.y, 10.0, optimum, rounds=1)
+        np.testing.assert_allclose(exact, optimum, atol=1e-8)
 
 
 class TestMargins:
