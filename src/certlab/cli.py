@@ -134,14 +134,14 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError("architecture names collide; add distinct 'name' fields")
         for arch in self.architectures:
-            if float(arch.get("C", 0.0)) <= 0.0:
+            if not float(arch.get("C", 0.0)) > 0.0:  # NaN fails too
                 raise ConfigError(f"architecture {arch} needs C > 0")
         if not self.epsilons:
             raise ConfigError("need a non-empty epsilon grid")
         if any(not 0.0 < e <= 1.0 for e in self.epsilons):
             raise ConfigError("epsilon values must lie in (0, 1]")
-        if sorted(self.epsilons) != self.epsilons:
-            raise ConfigError("epsilon grid must be sorted ascending")
+        if sorted(set(self.epsilons)) != self.epsilons:
+            raise ConfigError("epsilon grid must be sorted ascending, without repeats")
         if self.certificate not in CERTIFICATE_KINDS:
             raise ConfigError(f"certificate must be one of {CERTIFICATE_KINDS}")
         if self.export_model not in ("sample", "collective"):
@@ -157,6 +157,8 @@ class ExperimentConfig:
                               "with integers k >= 1 and s")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds repeat a value")
         if not self.widths or any(not isinstance(w, int) or w < 8 for w in self.widths):
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
@@ -179,23 +181,9 @@ class ExperimentConfig:
         return seeds, archs, epsilons
 
     def resolved(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "architectures": self.architectures,
-            "epsilons": self.epsilons,
-            "certificate": self.certificate,
-            "test_nodes": self.test_nodes,
-            "seeds": self.seeds,
-            "output_dir": self.output_dir,
-            "capacity": self.capacity,
-            "tol": self.tol,
-            "max_sweeps": self.max_sweeps,
-            "export_model": self.export_model,
-            "widths": list(self.widths),
-            "nt_samples": self.nt_samples,
-            "threshold": self.threshold,
-            "width_seed": self.width_seed,
-        }
+        doc = asdict(self)
+        del doc["replay_timings"]
+        return doc
 
 
 @dataclass

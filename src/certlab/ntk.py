@@ -1,9 +1,11 @@
 """Infinite-width tangent kernels for the supported architectures.
 
 `ntk_analytic` evaluates closed-form recursions; `ntk_empirical` estimates
-the same kernel by Monte Carlo over finite-width initializations with
-hand-written reverse-mode gradients, and is the ground truth the analytic
-recursions are validated against.
+the same kernel by Monte Carlo over finite-width initializations, and is
+the ground truth the analytic recursions are validated against. Each
+architecture's sampler runs its own forward pass and records, per layer,
+the layer input and the local derivative; one hand-written reverse-mode
+pass (`_backprop`) turns those records into the draw's kernel.
 
 Conventions shared by both paths: weights are drawn N(0, 1) and every
 matrix product carries an explicit 1/sqrt(fan-in) factor; "relu" means the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from math import pi, sqrt
 
 import numpy as np
@@ -196,23 +199,18 @@ def _activate_deriv(act: str, z: np.ndarray) -> np.ndarray:
 # Analytic kernels
 # ---------------------------------------------------------------------------
 
-def _mlp_theta(x: np.ndarray, depth: int, act: str) -> np.ndarray:
-    sig = x @ x.T / x.shape[1]
+def _stack_theta(x: np.ndarray, s: np.ndarray | None, depth: int, act: str) -> np.ndarray:
+    """GCN recursion: each layer's moments are propagated by S (.) S^T;
+    `s=None` drops the propagation (MLP)."""
+    def prop(m):
+        return m if s is None else s @ m @ s.T
+
+    sig = prop(x @ x.T / x.shape[1])
     theta = sig.copy()
     for _ in range(depth):
         e = _pair_moment(act, act, sig)
-        theta = theta * _deriv_moment(act, sig) + e
-        sig = e
-    return theta
-
-
-def _gcn_theta(x: np.ndarray, s: np.ndarray, depth: int, act: str) -> np.ndarray:
-    sig = s @ (x @ x.T / x.shape[1]) @ s.T
-    theta = sig.copy()
-    for _ in range(depth):
-        e = _pair_moment(act, act, sig)
-        theta = s @ (theta * _deriv_moment(act, sig) + e) @ s.T
-        sig = s @ e @ s.T
+        theta = prop(theta * _deriv_moment(act, sig) + e)
+        sig = prop(e)
     return theta
 
 
@@ -285,24 +283,22 @@ def _skip_alpha_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
 def ntk_analytic(spec: ArchitectureSpec, graph: Graph) -> KernelMatrix:
     """Infinite-width tangent kernel of the architecture on this graph."""
     x = graph.features
-    if spec.conv is not None and spec.conv.S.shape != (graph.n, graph.n):
+    s = spec.conv.S if spec.conv is not None else None
+    if s is not None and s.shape != (graph.n, graph.n):
         raise ValueError("convolution matrix does not match the graph size")
     if spec.kind == "linear":
         return KernelMatrix(x @ x.T, "linear")
-    if spec.kind == "mlp":
-        theta = _mlp_theta(x, spec.depth, spec.activation)
-    elif spec.kind == "gcn":
-        theta = _gcn_theta(x, spec.conv.S, spec.depth, spec.activation)
+    if spec.kind in ("mlp", "gcn"):
+        theta = _stack_theta(x, s, spec.depth, spec.activation)
     elif spec.kind == "sgc":
-        theta = _sgc_theta(x, spec.conv.S, spec.depth)
+        theta = _sgc_theta(x, s, spec.depth)
     elif spec.kind in ("ppnp", "appnp"):
         p = _propagation_matrix(spec, graph.n)
-        theta = p @ _mlp_theta(x, spec.depth, spec.activation) @ p.T
+        theta = p @ _stack_theta(x, None, spec.depth, spec.activation) @ p.T
     elif spec.kind == "skip_pc":
-        theta = _skip_pc_theta(x, spec.conv.S, spec.depth, spec.skip_activation)
+        theta = _skip_pc_theta(x, s, spec.depth, spec.skip_activation)
     else:
-        theta = _skip_alpha_theta(x, spec.conv.S, spec.depth, spec.skip_activation,
-                                  spec.alpha)
+        theta = _skip_alpha_theta(x, s, spec.depth, spec.skip_activation, spec.alpha)
     # the recursions are symmetric in exact arithmetic; remove float residue
     theta = (theta + theta.T) / 2.0
     return KernelMatrix(theta, spec.describe())
@@ -312,18 +308,29 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph) -> KernelMatrix:
 # Empirical kernels (Monte Carlo over finite-width initializations)
 # ---------------------------------------------------------------------------
 
-def _contract(d: np.ndarray, a: np.ndarray, fan: int) -> np.ndarray:
-    """sum_l <grad_i W_l, grad_j W_l> for one layer, without materializing
-    the per-parameter Jacobian: contracts through G = A A^T / fan."""
-    g = a @ a.T / fan
-    return np.einsum("irk,rs,jsk->ij", d, g, d, optimize=True)
+def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
+    """sum_l <grad_i W_l, grad_j W_l> of one draw, by reverse mode.
 
-
-def _pull_back(d: np.ndarray, w: np.ndarray, fan: int, s: np.ndarray | None) -> np.ndarray:
-    """Gradient w.r.t. the previous layer's output: (S^T d) W^T / sqrt(fan)."""
-    if s is not None:
-        d = np.einsum("pr,ipk->irk", s, d, optimize=True)
-    return np.matmul(d, w.T) / sqrt(fan)
+    Layer l computes P_l = A_l W_l / sqrt(fan), with A_l = `inputs[l]` and
+    fan its column count. Pulling the output gradient back through layer
+    l > 0 gives (S^T d) W_l^T / sqrt(fan) (`s=None`: no propagation),
+    times `derivs[l - 1]`, the local derivative of A_l in P_(l-1): an
+    array, or a scalar. Each layer's term contracts through
+    G = A A^T / fan without materializing the per-parameter Jacobian.
+    `out_seed` seeds the output gradient in place of the identity.
+    """
+    n = inputs[0].shape[0]
+    d = np.eye(n)[:, :, None] if out_seed is None else out_seed[:, :, None]
+    q = np.zeros((n, n))
+    for l in range(len(inputs) - 1, -1, -1):
+        a = inputs[l]
+        fan = a.shape[1]
+        q += np.einsum("irk,rs,jsk->ij", d, a @ a.T / fan, d, optimize=True)
+        if l > 0:
+            if s is not None:
+                d = np.einsum("pr,ipk->irk", s, d, optimize=True)
+            d = np.matmul(d, weights[l].T) / sqrt(fan) * derivs[l - 1]
+    return q
 
 
 def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
@@ -333,56 +340,37 @@ def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
     / sqrt(width), output = last P. `s=None` drops the propagation (MLP);
     `out_seed` left-multiplies the output by a fixed matrix (PPNP/APPNP).
     """
-    n, d = x.shape
-    dims = [d] + [width] * depth + [1]
+    dims = [x.shape[1]] + [width] * depth + [1]
     weights = [rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth + 1)]
-    inputs, preacts = [], []
+    inputs, derivs = [], []
     a = x if s is None else s @ x
     for l in range(depth + 1):
-        fan = dims[l]
-        inputs.append((a, fan))
-        p = a @ weights[l] / sqrt(fan)
+        inputs.append(a)
+        p = a @ weights[l] / sqrt(dims[l])
         if l < depth:
-            preacts.append(p)
+            derivs.append(_activate_deriv(act, p))
             a = _activate(act, p) if s is None else s @ _activate(act, p)
-    q = np.zeros((n, n))
-    d_cur = np.eye(n)[:, :, None] if out_seed is None else out_seed[:, :, None]
-    for l in range(depth, -1, -1):
-        a_l, fan = inputs[l]
-        q += _contract(d_cur, a_l, fan)
-        if l > 0:
-            d_cur = _pull_back(d_cur, weights[l], fan, s)
-            d_cur = d_cur * _activate_deriv(act, preacts[l - 1])[None, :, :]
-    return q
+    return _backprop(inputs, weights, derivs, s, out_seed)
 
 
 def _skip_pc_sample(rng, x, s, depth, width, sact):
-    n = x.shape[0]
     h0 = x @ rng.standard_normal((x.shape[1], width))
     skip = _activate(sact, h0)
     weights = [rng.standard_normal((width, width)) for _ in range(depth)]
     weights.append(rng.standard_normal((width, 1)))
-    inputs, preacts = [], []
+    inputs, derivs = [], []
     carried = _activate("relu", h0)
     for l in range(depth):
         a = s @ (carried + skip)
         inputs.append(a)
         p = a @ weights[l] / sqrt(width)
-        preacts.append(p)
+        derivs.append(_activate_deriv("relu", p))
         carried = _activate("relu", p)
     inputs.append(s @ carried)
-    q = np.zeros((n, n))
-    d_cur = np.eye(n)[:, :, None]
-    for l in range(depth, -1, -1):
-        q += _contract(d_cur, inputs[l], width)
-        if l > 0:
-            d_cur = _pull_back(d_cur, weights[l], width, s)
-            d_cur = d_cur * _activate_deriv("relu", preacts[l - 1])[None, :, :]
-    return q
+    return _backprop(inputs, weights, derivs, s)
 
 
 def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
-    n = x.shape[0]
     h0 = x @ rng.standard_normal((x.shape[1], width))
     skip = alpha * _activate(sact, h0)
     weights = [rng.standard_normal((width, width)) for _ in range(depth)]
@@ -394,16 +382,9 @@ def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
         inputs.append(a)
         carried = a @ weights[l] / sqrt(width)
     inputs.append(s @ carried)
-    q = np.zeros((n, n))
-    d_cur = np.eye(n)[:, :, None]
-    for l in range(depth, -1, -1):
-        q += _contract(d_cur, inputs[l], width)
-        if l > 0:
-            d_cur = _pull_back(d_cur, weights[l], width, s)
-            if l < depth:
-                # hidden inputs carry the (1-alpha) interpolation weight
-                d_cur = (1.0 - alpha) * d_cur
-    return q
+    # hidden inputs carry the (1-alpha) interpolation weight, the readout none
+    derivs = [1.0 - alpha] * (depth - 1) + [1.0]
+    return _backprop(inputs, weights, derivs, s)
 
 
 def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int,
@@ -411,8 +392,9 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
     """Monte-Carlo tangent kernel of a width-`width` instantiation.
 
     Averages <grad_theta f_i, grad_theta f_j> over `samples` fresh
-    initializations. Gradients come from hand-written reverse mode; the
-    Jacobian is contracted layer by layer, never stored whole.
+    initializations. Gradients come from one hand-written reverse-mode
+    pass (`_backprop`); the Jacobian is contracted layer by layer, never
+    stored whole.
     """
     if spec.kind == "linear":
         raise ValueError("the linear kernel has no width; use ntk_analytic")
@@ -428,20 +410,20 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
     rng = make_rng(seed)
     x = graph.features
     s = spec.conv.S if spec.conv is not None else None
+    if spec.kind in ("mlp", "gcn", "sgc"):
+        act = "linear" if spec.kind == "sgc" else spec.activation
+        draw = partial(_stack_sample, rng, x, s, spec.depth, width, act)
+    elif spec.kind in ("ppnp", "appnp"):
+        draw = partial(_stack_sample, rng, x, None, spec.depth, width, spec.activation,
+                       out_seed=_propagation_matrix(spec, graph.n))
+    elif spec.kind == "skip_pc":
+        draw = partial(_skip_pc_sample, rng, x, s, spec.depth, width, spec.skip_activation)
+    else:
+        draw = partial(_skip_alpha_sample, rng, x, s, spec.depth, width,
+                       spec.skip_activation, spec.alpha)
     total = np.zeros((graph.n, graph.n))
     for _ in range(samples):
-        if spec.kind in ("mlp", "gcn", "sgc"):
-            act = "linear" if spec.kind == "sgc" else spec.activation
-            total += _stack_sample(rng, x, s, spec.depth, width, act)
-        elif spec.kind in ("ppnp", "appnp"):
-            p = _propagation_matrix(spec, graph.n)
-            total += _stack_sample(rng, x, None, spec.depth, width, spec.activation,
-                                   out_seed=p)
-        elif spec.kind == "skip_pc":
-            total += _skip_pc_sample(rng, x, s, spec.depth, width, spec.skip_activation)
-        else:
-            total += _skip_alpha_sample(rng, x, s, spec.depth, width,
-                                        spec.skip_activation, spec.alpha)
+        total += draw()
     return KernelMatrix(total / samples, f"empirical/{spec.describe()}/w={width}/s={samples}")
 
 

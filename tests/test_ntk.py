@@ -192,6 +192,28 @@ class TestEmpirical:
         err = np.linalg.norm(emp - reference) / np.linalg.norm(reference)
         assert err <= 0.05
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "sgc", "ppnp", "appnp", "skip_pc",
+                                      "skip_alpha"])
+    def test_every_kind_matches_analytic(self, small_csbm, small_conv, kind, depth):
+        # The dense fixture (20 edges) and depth 2 reach every factor of the
+        # backward pass, the skip variants' relu derivative and (1 - alpha)
+        # weight included. At this width and seed every kind lies within
+        # 0.035; dropping either factor moves a skip kernel past 0.05.
+        spec = {
+            "mlp": ArchitectureSpec("mlp", depth),
+            "gcn": ArchitectureSpec("gcn", depth, conv=small_conv),
+            "sgc": ArchitectureSpec("sgc", depth, conv=small_conv),
+            "ppnp": ArchitectureSpec("ppnp", depth, conv=small_conv, alpha=0.2),
+            "appnp": ArchitectureSpec("appnp", depth, conv=small_conv, alpha=0.1,
+                                      power_k=6),
+            "skip_pc": ArchitectureSpec("skip_pc", depth, conv=small_conv),
+            "skip_alpha": ArchitectureSpec("skip_alpha", depth, conv=small_conv, alpha=0.3),
+        }[kind]
+        reference = ntk_analytic(spec, small_csbm).Q
+        emp = ntk_empirical(spec, small_csbm, width=1024, samples=10, seed=0).Q
+        assert np.linalg.norm(emp - reference) / np.linalg.norm(reference) <= 0.05
+
     def test_validation(self, small_csbm, small_conv):
         spec = ArchitectureSpec("gcn", 1, conv=small_conv)
         with pytest.raises(ValueError, match="width"):
