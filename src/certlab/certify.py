@@ -214,16 +214,13 @@ def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats=None):
     else:
         solve = lambda ytil, alpha0: _solve_leaf(problem.Qtrain, ytil, C, alpha0, tol,
                                                  max_sweeps, stats)
-    base = solve(y, None)
-    stats.leaves += 1
-    yield (), margins(base, y, Qcross)
-    prev = {(): base}
-    for k in range(1, r + 1):
+    prev = {}  # the clean leaf (k = 0) has no parent and is solved cold
+    for k in range(r + 1):
         cur = {}
         for combo in itertools.combinations(range(y.size), k):
             ytil = y.copy()
             ytil[list(combo)] *= -1.0
-            alpha = solve(ytil, prev[combo[:-1]])
+            alpha = solve(ytil, prev.get(combo[:-1]))
             stats.leaves += 1
             yield combo, margins(alpha, ytil, Qcross)
             cur[combo] = alpha

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ from .certify import (
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
 )
-from .errors import CapacityError, CertlabError, ConfigError
+from .errors import CapacityError, CertlabError, ConfigError, GraphFormatError
 from .graph import (
     CbaParams,
     CsbmParams,
@@ -54,11 +55,14 @@ from .graph import (
 from .milp import build_collective, build_samplewise, write_lp, write_mps
 from .ntk import (ArchitectureSpec, kernel_submatrix, kernel_to_csv, ntk_analytic,
                   ntk_empirical, save_kernel)
-from .svm import SvmProblem, margins, solve_dual
+from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
                      "multiclass-inexact", "export-only")
-METRICS_HEADER = "seed,arch,epsilon,kind,certified_ratio,certified_accuracy,clean_accuracy,runtime_ms"
+SCIENCE_FIELDS = ("certified_ratio", "certified_accuracy", "clean_accuracy")
+METRICS_FIELDS = ("seed", "arch", "epsilon", "kind", *SCIENCE_FIELDS, "runtime_ms")
+# an architecture name becomes a CSV field and part of output file names
+NAME_FORBIDDEN = ',"\n\r/\\'
 
 
 def worker_count() -> int:
@@ -69,6 +73,22 @@ def worker_count() -> int:
 # config fields with a dataclass default, and how a JSON value converts to them
 OPTIONAL_FIELDS = {"capacity": int, "tol": float, "max_sweeps": int, "export_model": str,
                    "widths": tuple, "nt_samples": int, "threshold": float, "width_seed": int}
+# the same for the dataset keys of each generator, and the architecture keys
+# of ArchitectureSpec; a key the config leaves out keeps the dataclass default
+_GRAPH_FIELDS = {"n": int, "sigma": float, "signal_scale": float, "labeled_per_class": int}
+GENERATORS = {
+    "csbm": (sample_csbm, CsbmParams, dict(_GRAPH_FIELDS, p=float, q=float)),
+    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=int,
+                                        affinity=lambda w: tuple(map(tuple, w)))),
+}
+ARCH_FIELDS = {"depth": int, "alpha": None, "power_k": None, "skip_activation": None,
+               "activation": None}
+
+
+def _given(doc: dict, fields: dict) -> dict:
+    """The keys of `doc` that `fields` names, each through its converter (None: as is)."""
+    return {name: doc[name] if convert is None else convert(doc[name])
+            for name, convert in fields.items() if name in doc}
 
 
 @dataclass
@@ -106,8 +126,7 @@ class ExperimentConfig:
                 seeds=[int(s) for s in doc.get("seeds", [0])],
                 output_dir=doc.get("output_dir", "certlab_out"),
                 replay_timings=timings,
-                **{name: convert(doc[name]) for name, convert in OPTIONAL_FIELDS.items()
-                   if name in doc},
+                **_given(doc, OPTIONAL_FIELDS),
             )
             cfg.validate()
         except (KeyError, TypeError, ValueError) as exc:
@@ -126,16 +145,19 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self) -> None:
-        if self.dataset.get("kind") not in ("csbm", "cba", "file", "karate"):
+        if self.dataset.get("kind") not in (*GENERATORS, "file", "karate"):
             raise ConfigError("dataset.kind must be csbm, cba, file or karate")
         if not self.architectures:
             raise ConfigError("need at least one architecture")
         names = [self.arch_name(i) for i in range(len(self.architectures))]
         if len(set(names)) != len(names):
             raise ConfigError("architecture names collide; add distinct 'name' fields")
+        if any(set(name) & set(NAME_FORBIDDEN) for name in names):
+            raise ConfigError("architecture names must not contain a comma, a double "
+                              "quote, a line break or a path separator")
         for arch in self.architectures:
-            if not float(arch.get("C", 0.0)) > 0.0:  # NaN fails too
-                raise ConfigError(f"architecture {arch} needs C > 0")
+            if not 0.0 < float(arch.get("C", 0.0)) < math.inf:  # NaN fails too
+                raise ConfigError(f"architecture {arch} needs a finite C > 0")
         if not self.epsilons:
             raise ConfigError("need a non-empty epsilon grid")
         if any(not 0.0 < e <= 1.0 for e in self.epsilons):
@@ -159,6 +181,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds repeat a value")
+        if min(self.seeds) < 0 or self.width_seed < 0:
+            raise ConfigError("seeds and width_seed must be non-negative")
         if not self.widths or any(not isinstance(w, int) or w < 8 for w in self.widths):
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
@@ -200,25 +224,16 @@ class ReportBundle:
 
 def make_graph(config: ExperimentConfig, seed: int) -> Graph:
     ds = config.dataset
-    kind = ds["kind"]
-    if kind == "file":
-        graph = load_graph(ds["path"])
-    elif kind == "karate":
-        graph = karate_club()
-    else:
-        common = dict(n=int(ds["n"]), sigma=float(ds.get("sigma", 1.0)),
-                      signal_scale=float(ds.get("signal_scale", 1.5)),
-                      labeled_per_class=int(ds.get("labeled_per_class", 10)),
-                      seed=seed)
-        if kind == "csbm":
-            graph = sample_csbm(CsbmParams(p=float(ds.get("p", CsbmParams.p)),
-                                           q=float(ds.get("q", CsbmParams.q)),
-                                           **common))
+    try:
+        if ds["kind"] == "file":
+            graph = load_graph(ds["path"])
+        elif ds["kind"] == "karate":
+            graph = karate_club()
         else:
-            graph = sample_cba(CbaParams(
-                deg=int(ds.get("deg", 2)),
-                affinity=tuple(map(tuple, ds.get("affinity", CbaParams.affinity))),
-                **common))
+            sample, params, fields = GENERATORS[ds["kind"]]
+            graph = sample(params(seed=seed, **_given(ds, fields)))
+    except (KeyError, TypeError, ValueError, OSError, GraphFormatError) as exc:
+        raise ConfigError(f"invalid dataset {ds}: {exc}") from exc
     if ds.get("normalize_features", False):
         graph = normalize_features(graph)
     return graph
@@ -230,16 +245,8 @@ def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
         conv = None
         if kind not in ("mlp", "linear"):
             conv = normalize_adjacency(graph, arch.get("conv", "row"),
-                                       float(arch.get("beta", 1.0)))
-        return ArchitectureSpec(
-            kind=kind,
-            depth=int(arch.get("depth", 1)),
-            conv=conv,
-            alpha=arch.get("alpha"),
-            power_k=arch.get("power_k"),
-            skip_activation=arch.get("skip_activation", "relu"),
-            activation=arch.get("activation", "relu"),
-        )
+                                       **_given(arch, {"beta": float}))
+        return ArchitectureSpec(kind=kind, conv=conv, **_given(arch, ARCH_FIELDS))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid architecture {arch}: {exc}") from exc
 
@@ -262,7 +269,7 @@ def binary_targets(graph: Graph) -> np.ndarray:
     """Class 2 maps to +1, class 1 to -1."""
     if graph.num_classes != 2:
         raise ConfigError("binary certification needs a two-class graph")
-    return np.where(graph.labels == 2, 1.0, -1.0)
+    return one_vs_all_split(graph.labels, 2)
 
 
 def _cell_key(seed: int, arch: str, eps: float) -> str:
@@ -271,6 +278,23 @@ def _cell_key(seed: int, arch: str, eps: float) -> str:
 
 def _witness_json(w) -> list:
     return [list(x) if isinstance(x, tuple) else int(x) for x in w]
+
+
+def _dump_json(doc, output_dir: str, name: str, sort_keys: bool = True) -> str:
+    path = os.path.join(output_dir, name)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+    return path
+
+
+def _dump_csv(rows: list[dict], fields, output_dir: str, name: str) -> str:
+    path = os.path.join(output_dir, name)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons, stats):
@@ -387,15 +411,16 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         seed_filter=None) -> ReportBundle:
     """Execute the experiment grid and write the report bundle."""
     seeds, archs, epsilons = config.select(seed_filter, arch_filter, eps_filter)
-    os.makedirs(config.output_dir, exist_ok=True)
 
-    # kernels all come first: build-then-scan per unit measured 36% more CPU time
+    # kernels all come first: build-then-scan per unit measured 36% more CPU time;
+    # a config error here leaves no output directory behind
     units = []
     for seed in sorted(seeds):
         graph = make_graph(config, seed)
         test = select_test_nodes(config, graph, seed)
         units += [(seed, graph, test, name, arch,
                    ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
+    os.makedirs(config.output_dir, exist_ok=True)
 
     timings, errors, rows, per_node_all, witness_all, stats = {}, {}, [], [], {}, {}
     replay = config.replay_timings or {}
@@ -412,34 +437,17 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
                     witness_all[key] = witness
                 continue
             vals = (float("nan"),) * 3 if err is not None else row
-            rows.append({
-                "seed": seed, "arch": name, "epsilon": eps,
-                "kind": config.certificate,
-                "certified_ratio": vals[0], "certified_accuracy": vals[1],
-                "clean_accuracy": vals[2], "runtime_ms": timings[key],
-            })
+            rows.append(dict(zip(METRICS_FIELDS, (seed, name, eps, config.certificate, *vals,
+                                                  timings[key]))))
             for rec in per_node:
                 per_node_all.append({"seed": seed, "arch": name, "epsilon": eps, **rec})
             if witness is not None:
                 witness_all[key] = witness
 
-    metrics_path = os.path.join(config.output_dir, "metrics.csv")
-    with open(metrics_path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r["seed"]), r["arch"], repr(r["epsilon"]), r["kind"],
-                repr(r["certified_ratio"]), repr(r["certified_accuracy"]),
-                repr(r["clean_accuracy"]), repr(r["runtime_ms"]),
-            ]) + "\n")
-    per_node_path = os.path.join(config.output_dir, "per_node.json")
-    with open(per_node_path, "w") as fh:
-        json.dump(per_node_all, fh, indent=1)
-        fh.write("\n")
-    witness_path = os.path.join(config.output_dir, "witnesses.json")
-    with open(witness_path, "w") as fh:
-        json.dump(witness_all, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    metrics_path = _dump_csv(rows, METRICS_FIELDS, config.output_dir, "metrics.csv")
+    per_node_path = _dump_json(per_node_all, config.output_dir, "per_node.json",
+                               sort_keys=False)
+    witness_path = _dump_json(witness_all, config.output_dir, "witnesses.json")
     manifest = {
         "config": config.resolved(),
         "versions": {
@@ -452,10 +460,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         "errors": {key: str(err) for key, err in errors.items()},
         "error_kinds": {key: type(err).__name__ for key, err in errors.items()},
     }
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    manifest_path = _dump_json(manifest, config.output_dir, "manifest.json")
     return ReportBundle(config.output_dir, metrics_path, per_node_path,
                         witness_path, manifest_path, rows, manifest,
                         failures=errors)
@@ -468,54 +473,37 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
 def report(output_dir: str) -> dict:
     """Aggregate metrics.csv into plot-ready CSVs (mean/std over seeds and
     consecutive-epsilon certified-ratio deltas)."""
-    metrics_path = os.path.join(output_dir, "metrics.csv")
-    groups: dict[tuple, dict[float, list[float]]] = {}
-    acc_groups: dict[tuple, dict[float, list]] = {}
-    with open(metrics_path) as fh:
+    # (arch, kind) -> epsilon -> one [ratio, accuracy, clean accuracy] per seed
+    groups: dict[tuple, dict[float, list]] = {}
+    with open(os.path.join(output_dir, "metrics.csv")) as fh:
         for rec in csv.DictReader(fh):
-            key = (rec["arch"], rec["kind"])
-            eps = float(rec["epsilon"])
-            groups.setdefault(key, {}).setdefault(eps, []).append(
-                float(rec["certified_ratio"]))
-            acc_groups.setdefault(key, {}).setdefault(eps, []).append(
-                (float(rec["certified_accuracy"]), float(rec["clean_accuracy"])))
+            groups.setdefault((rec["arch"], rec["kind"]), {}).setdefault(
+                float(rec["epsilon"]), []).append([float(rec[field]) for field in SCIENCE_FIELDS])
 
-    curve_path = os.path.join(output_dir, "certified_vs_eps.csv")
-    with open(curve_path, "w") as fh:
-        fh.write("arch,kind,epsilon,mean_certified_ratio,std_certified_ratio,"
-                 "mean_certified_accuracy,std_certified_accuracy,"
-                 "mean_clean_accuracy,std_clean_accuracy\n")
-        for (arch, kind) in sorted(groups):
-            for eps in sorted(groups[(arch, kind)]):
-                ratios = np.array(groups[(arch, kind)][eps])
-                accs = np.array([a for a, _ in acc_groups[(arch, kind)][eps]])
-                cleans = np.array([c for _, c in acc_groups[(arch, kind)][eps]])
-                if np.any(np.isnan(ratios)):
-                    print(f"warning: missing cells for {arch}/{kind} at eps={eps}",
-                          file=sys.stderr)
-                fh.write(",".join([arch, kind, repr(eps),
-                                   repr(float(ratios.mean())), repr(float(ratios.std())),
-                                   repr(float(accs.mean())), repr(float(accs.std())),
-                                   repr(float(cleans.mean())), repr(float(cleans.std())),
-                                   ]) + "\n")
-
-    delta_path = os.path.join(output_dir, "plateau_deltas.csv")
-    with open(delta_path, "w") as fh:
-        fh.write("arch,kind,eps_from,eps_to,delta_certified_ratio\n")
-        for (arch, kind) in sorted(groups):
-            grid = sorted(groups[(arch, kind)])
-            for lo, hi in zip(grid, grid[1:]):
-                d = (float(np.mean(groups[(arch, kind)][lo]))
-                     - float(np.mean(groups[(arch, kind)][hi])))
-                fh.write(f"{arch},{kind},{lo!r},{hi!r},{d!r}\n")
-    return {"certified_vs_eps": curve_path, "plateau_deltas": delta_path}
+    curve_fields = ["arch", "kind", "epsilon", *(f"{stat}_{field}" for field in SCIENCE_FIELDS
+                                                 for stat in ("mean", "std"))]
+    delta_fields = ["arch", "kind", "eps_from", "eps_to", "delta_certified_ratio"]
+    curves, deltas = [], []
+    for (arch, kind), by_eps in sorted(groups.items()):
+        mean_ratio = {}
+        for eps, recs in sorted(by_eps.items()):
+            columns = [np.array(column) for column in zip(*recs)]
+            if np.any(np.isnan(columns[0])):
+                print(f"warning: missing cells for {arch}/{kind} at eps={eps}", file=sys.stderr)
+            summary = [float(stat(column)) for column in columns for stat in (np.mean, np.std)]
+            curves.append(dict(zip(curve_fields, (arch, kind, eps, *summary))))
+            mean_ratio[eps] = summary[0]
+        grid = list(mean_ratio)
+        deltas += [dict(zip(delta_fields, (arch, kind, lo, hi, mean_ratio[lo] - mean_ratio[hi])))
+                   for lo, hi in zip(grid, grid[1:])]
+    return {"certified_vs_eps": _dump_csv(curves, curve_fields, output_dir, "certified_vs_eps.csv"),
+            "plateau_deltas": _dump_csv(deltas, delta_fields, output_dir, "plateau_deltas.csv")}
 
 
 def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
     """Width sweep of empirical vs analytic kernels on the first selected seed's
     graph; pass iff every architecture's error at the largest width is within threshold."""
     seeds, archs, _ = config.select(seed_filter, arch_filter)
-    os.makedirs(config.output_dir, exist_ok=True)
     graph = make_graph(config, seeds[0])
     rows, all_pass = [], True
     for name, arch in archs:
@@ -534,12 +522,9 @@ def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
         for width, err in zip(config.widths, errors):
             rows.append({"arch": name, "width": int(width),
                          "rel_frobenius_error": err, "passed": passed})
-    out = os.path.join(config.output_dir, "ntk_validation.csv")
-    with open(out, "w") as fh:
-        fh.write("arch,width,rel_frobenius_error,passed\n")
-        for r in rows:
-            fh.write(f"{r['arch']},{r['width']},{r['rel_frobenius_error']!r},"
-                     f"{int(r['passed'])}\n")
+    os.makedirs(config.output_dir, exist_ok=True)
+    out = _dump_csv([dict(r, passed=int(r["passed"])) for r in rows], list(rows[0]),
+                    config.output_dir, "ntk_validation.csv")
     return rows, all_pass, out
 
 
@@ -570,12 +555,12 @@ def main(argv=None) -> int:
         eps_filter = set(args.eps) if args.eps else None
 
         if args.command == "gen":
-            if config.dataset["kind"] in ("file", "karate"):
+            if config.dataset["kind"] not in GENERATORS:
                 raise ConfigError("gen requires a generator dataset (csbm or cba)")
             seeds, _, _ = config.select(seed_filter, arch_filter)
+            graphs = [(seed, make_graph(config, seed)) for seed in seeds]
             os.makedirs(config.output_dir, exist_ok=True)
-            for seed in seeds:
-                graph = make_graph(config, seed)
+            for seed, graph in graphs:
                 path = os.path.join(config.output_dir, f"graph_seed{seed}.json")
                 save_graph(graph, path)
                 print(path)
@@ -583,9 +568,9 @@ def main(argv=None) -> int:
 
         if args.command == "ntk":
             seeds, archs, _ = config.select(seed_filter, arch_filter)
+            graphs = [(seed, make_graph(config, seed)) for seed in seeds]
             os.makedirs(config.output_dir, exist_ok=True)
-            for seed in seeds:
-                graph = make_graph(config, seed)
+            for seed, graph in graphs:
                 for name, arch in archs:
                     kernel = ntk_analytic(make_arch_spec(arch, graph), graph)
                     path = os.path.join(config.output_dir, f"kernel_seed{seed}_{name}.knl")

@@ -94,12 +94,6 @@ class MilpModel:
     def binary_count(self) -> int:
         return sum(1 for v in self.variables if v.kind == "binary")
 
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class BigM:
@@ -167,6 +161,15 @@ class _Builder:
                        sense, float(rhs)))
 
 
+def _families(C, prefix):
+    """(name, kind, lower, upper) of each per-node variable family of a
+    sample-wise block, in declaration order; the m x m family R follows."""
+    return (("a", "continuous", 0.0, C), ("yt", "continuous", -1.0, 1.0),
+            ("ytp" if prefix else "yp", "binary", 0.0, 1.0), ("z", "continuous", -C, C),
+            ("u", "continuous", 0.0, INF), ("v", "continuous", 0.0, INF),
+            ("s", "binary", 0.0, 1.0), ("tt", "binary", 0.0, 1.0))
+
+
 def _samplewise_block(b: _Builder, Q, y, C, r, prefix=""):
     """Variables and constraints shared by every certification MILP.
 
@@ -176,23 +179,11 @@ def _samplewise_block(b: _Builder, Q, y, C, r, prefix=""):
     m = y.size
     bm = big_m(Q, C)
     p = prefix
-    for i in range(m):
-        b.var(f"a{p}_{i}", lower=0.0, upper=C)
-    for i in range(m):
-        b.var(f"yt{p}_{i}", lower=-1.0, upper=1.0)
-    label_bin = "ytp" if p else "yp"
-    for i in range(m):
-        b.var(f"{label_bin}{p}_{i}", kind="binary")
-    for i in range(m):
-        b.var(f"z{p}_{i}", lower=-C, upper=C)
-    for i in range(m):
-        b.var(f"u{p}_{i}")
-    for i in range(m):
-        b.var(f"v{p}_{i}")
-    for i in range(m):
-        b.var(f"s{p}_{i}", kind="binary")
-    for i in range(m):
-        b.var(f"tt{p}_{i}", kind="binary")
+    families = _families(C, p)
+    label_bin = families[2][0]  # yp, or ytp in a multi-class block
+    for name, kind, lower, upper in families:
+        for i in range(m):
+            b.var(f"{name}{p}_{i}", kind, lower, upper)
     for i in range(m):
         for j in range(m):
             b.var(f"R{p}_{i}_{j}", lower=-C, upper=C)
@@ -409,20 +400,12 @@ def _block_point(Q, ytil, C, alpha, prefix="", boundary_tol=1e-7):
     m = ytil.size
     cert = kkt_check(SvmProblem(Q, ytil, C), alpha, tol=boundary_tol)
     z = alpha * ytil
-    point = {}
-    p = prefix
-    label_bin = "ytp" if p else "yp"
-    for i in range(m):
-        point[f"a{p}_{i}"] = float(alpha[i])
-        point[f"yt{p}_{i}"] = float(ytil[i])
-        point[f"{label_bin}{p}_{i}"] = float((ytil[i] + 1.0) / 2.0)
-        point[f"z{p}_{i}"] = float(z[i])
-        point[f"u{p}_{i}"] = float(cert.u[i])
-        point[f"v{p}_{i}"] = float(cert.v[i])
-        point[f"s{p}_{i}"] = 1.0 if alpha[i] <= boundary_tol else 0.0
-        point[f"tt{p}_{i}"] = 1.0 if alpha[i] >= C - boundary_tol else 0.0
-        for j in range(m):
-            point[f"R{p}_{i}_{j}"] = float(ytil[i] * z[j])
+    values = (alpha, ytil, (ytil + 1.0) / 2.0, z, cert.u, cert.v,
+              alpha <= boundary_tol, alpha >= C - boundary_tol)
+    point = {f"{name}{prefix}_{i}": float(value[i])
+             for (name, *_), value in zip(_families(C, prefix), values) for i in range(m)}
+    point.update({f"R{prefix}_{i}_{j}": float(ytil[i] * z[j])
+                  for i in range(m) for j in range(m)})
     return point
 
 

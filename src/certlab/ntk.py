@@ -353,11 +353,16 @@ def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
     return _backprop(inputs, weights, derivs, s, out_seed)
 
 
-def _skip_pc_sample(rng, x, s, depth, width, sact):
+def _skip_draw(rng, x, depth, width, sact):
+    """h0 = X W_0, sact(h0) and the depth + 1 later weights of one skip-network
+    draw, drawn in that order."""
     h0 = x @ rng.standard_normal((x.shape[1], width))
-    skip = _activate(sact, h0)
     weights = [rng.standard_normal((width, width)) for _ in range(depth)]
-    weights.append(rng.standard_normal((width, 1)))
+    return h0, _activate(sact, h0), weights + [rng.standard_normal((width, 1))]
+
+
+def _skip_pc_sample(rng, x, s, depth, width, sact):
+    h0, skip, weights = _skip_draw(rng, x, depth, width, sact)
     inputs, derivs = [], []
     carried = _activate("relu", h0)
     for l in range(depth):
@@ -371,14 +376,11 @@ def _skip_pc_sample(rng, x, s, depth, width, sact):
 
 
 def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
-    h0 = x @ rng.standard_normal((x.shape[1], width))
-    skip = alpha * _activate(sact, h0)
-    weights = [rng.standard_normal((width, width)) for _ in range(depth)]
-    weights.append(rng.standard_normal((width, 1)))
+    h0, skip, weights = _skip_draw(rng, x, depth, width, sact)
     inputs = []
     carried = h0
     for l in range(depth):
-        a = (1.0 - alpha) * (s @ carried) + skip
+        a = (1.0 - alpha) * (s @ carried) + alpha * skip
         inputs.append(a)
         carried = a @ weights[l] / sqrt(width)
     inputs.append(s @ carried)

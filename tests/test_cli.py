@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import certlab.certify
-from certlab import Graph, load_graph, load_kernel, save_graph
+from certlab import (CbaParams, CsbmParams, Graph, load_graph, load_kernel, normalize_features,
+                     sample_cba, sample_csbm, save_graph)
 from certlab.certify import binary_leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
@@ -89,6 +90,17 @@ class TestConfig:
         {"architectures": [{"kind": "gcn", "C": float("nan")}]},
         {"seeds": [0, 0]},
         {"epsilons": [0.2, 0.2]},
+        {"seeds": [-1]},
+        {"seeds": [0, -2]},
+        {"width_seed": -1},
+        {"architectures": [{"kind": "gcn", "C": float("inf")}]},
+        # a name goes into metrics.csv rows and into export and kernel file names
+        {"architectures": [{"name": "g,cn", "kind": "gcn", "C": 0.05}]},
+        {"architectures": [{"name": 'g"cn', "kind": "gcn", "C": 0.05}]},
+        {"architectures": [{"name": "g\ncn", "kind": "gcn", "C": 0.05}]},
+        {"architectures": [{"name": "g/cn", "kind": "gcn", "C": 0.05}]},
+        {"architectures": [{"name": "../gcn", "kind": "gcn", "C": 0.05}]},
+        {"architectures": [{"name": "g\\cn", "kind": "gcn", "C": 0.05}]},
     ])
     def test_malformed_grid_inputs(self, tmp_path, override):
         with pytest.raises(ConfigError):
@@ -104,6 +116,28 @@ class TestConfig:
         cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: invalid architecture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "ntk", "validate-ntk"])
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "csbm"},  # no n
+        {"kind": "csbm", "n": 1},
+        {"kind": "csbm", "n": 24, "labeled_per_class": 20},
+        {"kind": "cba", "n": 24, "deg": 24},
+        {"kind": "cba", "n": 24, "sigma": 0},
+        {"kind": "csbm", "n": "many"},
+        {"kind": "file", "path": "no_such_graph.json"},
+        {"kind": "file", "path": "truncated_graph.json"},
+        {"kind": "file"},  # no path
+    ], ids=["no-n", "n1", "labeled", "deg", "sigma", "n-type", "no-file", "bad-file",
+            "no-path"])
+    def test_malformed_dataset_is_config_error(self, tmp_path, monkeypatch, capsys, command,
+                                               dataset):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "truncated_graph.json").write_text('{"n": 3')
+        cfg = base_config(tmp_path / "out", dataset=dataset)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: invalid dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--seed", "7"],
@@ -217,6 +251,42 @@ class TestRun:
                                           "depth": 1, "conv": "row", "C": 0.01}])
         bundle = run(ExperimentConfig.from_dict(cfg))
         assert len(bundle.rows) == 1
+
+    def test_generator_dataset_runs_like_its_saved_graph(self, tmp_path):
+        dataset = {"kind": "cba", "n": 30, "deg": 3, "labeled_per_class": 3,
+                   "normalize_features": True}
+        gen = base_config(tmp_path / "gen", seeds=[0], dataset=dataset)
+        assert main(["gen", "--config", write_config(tmp_path, gen)]) == 0
+        saved = {"kind": "file", "path": str(tmp_path / "gen" / "graph_seed0.json")}
+        bundles = [run(ExperimentConfig.from_dict(base_config(tmp_path / out, seeds=[0],
+                                                              dataset=ds)))
+                   for out, ds in (("direct", dataset), ("saved", saved))]
+        direct, saved = bundles
+        assert not direct.failures
+        assert ([dict(r, runtime_ms=None) for r in direct.rows]
+                == [dict(r, runtime_ms=None) for r in saved.rows])
+        for path in ("per_node_path", "witness_path"):
+            assert open(getattr(direct, path)).read() == open(getattr(saved, path)).read()
+
+    @pytest.mark.parametrize("kind", ["multiclass-exact", "multiclass-inexact"])
+    def test_two_class_multiclass_is_the_binary_pipeline(self, tmp_path, kind):
+        # with K = 2 the one-vs-all certificates are the sample-wise ones
+        binary, multi = (run(ExperimentConfig.from_dict(base_config(
+            tmp_path / cert, seeds=[0], certificate=cert))) for cert in ("sample", kind))
+        assert ([dict(r, kind=None, runtime_ms=None) for r in multi.rows]
+                == [dict(r, kind=None, runtime_ms=None) for r in binary.rows])
+        assert open(multi.per_node_path).read() == open(binary.per_node_path).read()
+        assert open(multi.witness_path).read() == open(binary.witness_path).read()
+
+    @pytest.mark.parametrize("command, certificate", [
+        ("certify", "sample"), ("certify", "collective"), ("export", "sample")])
+    def test_binary_certificate_needs_two_classes(self, tmp_path, capsys, command,
+                                                  certificate):
+        three_class_graph(tmp_path / "g3.json")
+        cfg = base_config(tmp_path / "out", seeds=[0], certificate=certificate,
+                          dataset={"kind": "file", "path": str(tmp_path / "g3.json")})
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "binary certification needs a two-class graph" in capsys.readouterr().err
 
 
 def three_class_graph(path, per_class=5, labeled_per_class=2):
@@ -342,6 +412,23 @@ class TestSubcommands:
         for seed in (0, 1):
             g = load_graph(tmp_path / "out" / f"graph_seed{seed}.json")
             assert g.n == 24 and g.seed == seed
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("kind, sample, params", [("csbm", sample_csbm, CsbmParams),
+                                                      ("cba", sample_cba, CbaParams)],
+                             ids=["csbm", "cba"])
+    def test_dataset_defaults_are_the_generators(self, tmp_path, kind, sample, params,
+                                                 normalize):
+        # only n is given; a dataset seed is ignored, each grid seed seeds its graph
+        cfg = base_config(tmp_path / "out", dataset={"kind": kind, "n": 40, "seed": 5,
+                                                     "normalize_features": normalize})
+        assert main(["gen", "--config", write_config(tmp_path, cfg)]) == 0
+        for seed in (0, 1):
+            want = sample(params(n=40, seed=seed))
+            want = normalize_features(want) if normalize else want
+            got = load_graph(tmp_path / "out" / f"graph_seed{seed}.json")
+            for field in ("features", "adjacency", "labels", "labeled"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
     def test_gen_rejects_file_dataset(self, tmp_path):
         cfg = base_config(tmp_path / "out", dataset={"kind": "karate"})
