@@ -9,10 +9,11 @@ of the class-c scan, so the exact reducer solves no QP of its own. No
 leaf depends on the test node or the budget, and a smaller budget's
 leaves are a prefix of the walk, so the `reduce_*` generators answer
 every test row and an ascending list of budgets in one pass: they yield
-the clean margins, then one snapshot per budget as soon as the walk
-completes it. The `certify_*` functions are single-budget calls into
-them. Prediction values are unique across optimal duals, so the
-enumerated optimum equals the corresponding MILP optimum.
+the clean margins, then one snapshot per budget within the capacity
+limit as soon as the walk completes it, then raise the CapacityError of
+the first budget past it. The `certify_*` functions are single-budget
+calls into them. Prediction values are unique across optimal duals, so
+the enumerated optimum equals the corresponding MILP optimum.
 
 Each scan validates its `SvmProblem` up front. In the saturated regime,
 C * max_i sum_j |Q_ij| < 1 (`svm.saturates`, which holds in the paper's
@@ -123,11 +124,8 @@ class ScanStats:
     cd_fallbacks: int = 0     # child duals solved by coordinate descent instead
 
 
-def binary_leaf_count(m: int, r: int) -> int:
-    return sum(math.comb(m, k) for k in range(r + 1))
-
-
-def multiclass_leaf_count(m: int, r: int, num_classes: int) -> int:
+def leaf_count(m: int, r: int, num_classes: int = 2) -> int:
+    """Relabelings of at most r of m nodes; num_classes=2 counts binary flip sets."""
     return sum(math.comb(m, k) * (num_classes - 1) ** k for k in range(r + 1))
 
 
@@ -136,13 +134,18 @@ def _check_capacity(leaves: int, cap: int) -> None:
         raise CapacityError(leaves, cap)
 
 
-def _budget_ends(budgets, m, num_classes, cap) -> Counter:
-    """Leaf number -> snapshots due after it; num_classes=2 counts binary leaves."""
+def _budget_ends(budgets, m, num_classes, cap):
+    """(leaf number -> snapshots due after it, r of the last budget within cap,
+    CapacityError of the first budget past it or None, raised if none fits)."""
     rs = [b.r for b in budgets]
     if not rs or rs != sorted(rs):
         raise ValueError("budgets must be a non-empty list in ascending order")
-    _check_capacity(multiclass_leaf_count(m, rs[-1], num_classes), cap)
-    return Counter(multiclass_leaf_count(m, r, num_classes) for r in rs)
+    counts = [leaf_count(m, r, num_classes) for r in rs]
+    fit = sum(n <= cap for n in counts)  # counts ascend with r
+    over = CapacityError(counts[fit], cap) if fit < len(counts) else None
+    if not fit:
+        raise over
+    return Counter(counts[:fit]), rs[fit - 1], over
 
 
 def _test_rows(Qcross, test_ids, num_classes=2):
@@ -240,9 +243,9 @@ def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_swee
     Every reducer counts the leaves of its scans into `stats`, if given."""
     Qcross, test_ids = _test_rows(Qcross, test_ids)
     y = np.asarray(y, dtype=np.float64)
-    ends = _budget_ends(budgets, y.size, 2, cap)
+    ends, r, over = _budget_ends(budgets, y.size, 2, cap)
     best, witness, most = np.full(len(test_ids), math.inf), [()] * len(test_ids), -1
-    leaves = _scan_flips(Qtrain, Qcross, y, C, budgets[-1].r, tol, max_sweeps, stats)
+    leaves = _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats)
     for n, (flips, p) in enumerate(leaves, 1):
         if n == 1:
             sign = np.sign(p)
@@ -259,6 +262,8 @@ def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_swee
             # an undefined clean sign counts as misclassified outright
             yield (_certificates(test_ids, np.where(zero, 0.0, best), witness),
                    CollectiveCertificate(most + int(np.sum(zero)), *collective))
+    if over:
+        raise over
 
 
 def certify_sample(Qtrain, Qcross_t, y, C, budget: Budget, t: int,
@@ -319,11 +324,10 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
                             *, cap, tol, max_sweeps, stats=None):
     """Exact multi-class certificates of every Qcross row (see
     certify_multiclass_exact). The margins of every leaf of the K scans are
-    kept: K * binary_leaf_count(m, r) * |T| floats."""
+    kept: K * leaf_count(m, r) * |T| floats."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
-    ends = _budget_ends(budgets, labels.size, num_classes, cap)
-    r = budgets[-1].r
+    ends, r, over = _budget_ends(budgets, labels.size, num_classes, cap)
     scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats)
     rows = np.arange(len(test_ids))
     best, witness = np.full(rows.size, math.inf), [()] * rows.size
@@ -334,6 +338,8 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
         best = _improve(best, P[c_hat, rows] - _runner_up(P, c_hat), witness, changes)
         for _ in range(ends[n]):
             yield _certificates(test_ids, best, witness)
+    if over:
+        raise over
 
 
 def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
@@ -342,9 +348,8 @@ def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, t
     certify_multiclass_inexact); the K one-vs-all scans run in lockstep."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
-    ends = _budget_ends(budgets, labels.size, 2, cap)
-    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, budgets[-1].r,
-                         tol, max_sweeps, stats)
+    ends, r, over = _budget_ends(budgets, labels.size, 2, cap)
+    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats)
     rows = np.arange(len(test_ids))
     low, witness = np.full(rows.size, math.inf), [()] * rows.size
     high = np.full((num_classes, rows.size), -math.inf)
@@ -357,6 +362,8 @@ def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, t
         high = np.where(P > high, P, high)
         for _ in range(ends[n]):
             yield _certificates(test_ids, low - _runner_up(high, c_hat), witness)
+    if over:
+        raise over
 
 
 def certify_multiclass_exact(Qtrain, Qcross_t, labels, num_classes, C,
@@ -408,7 +415,7 @@ def brute_force_oracle(Qtrain, Qcross, y_or_labels, C, budget: Budget, mode: str
 
     if mode in ("sample", "collective"):
         y = np.asarray(y_or_labels, dtype=np.float64)
-        _check_capacity(binary_leaf_count(m, budget.r), cap)
+        _check_capacity(leaf_count(m, budget.r), cap)
         sol = solve_dual_pg(SvmProblem(Qtrain, y, C), tol)
         sign = np.sign(margins(sol.alpha, y, Qcross))
         leaves = []
@@ -433,7 +440,7 @@ def brute_force_oracle(Qtrain, Qcross, y_or_labels, C, budget: Budget, mode: str
     if mode != "multiclass":
         raise ValueError(f"unknown oracle mode {mode!r}")
     labels = np.asarray(y_or_labels, dtype=np.int64)
-    _check_capacity(multiclass_leaf_count(m, budget.r, num_classes), cap)
+    _check_capacity(leaf_count(m, budget.r, num_classes), cap)
 
     def ensemble(relabeled):
         p = np.empty((num_classes, Qcross.shape[0]))

@@ -34,7 +34,6 @@ from .certify import (
     Budget,
     ScanStats,
     metrics,
-    multiclass_leaf_count,
     reduce_binary,
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
@@ -187,8 +186,8 @@ class ExperimentConfig:
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
             raise ConfigError("nt_samples must be at least 1")
-        if self.max_sweeps < 1 or not self.tol > 0.0:
-            raise ConfigError("solver settings need max_sweeps >= 1 and tol > 0")
+        if self.max_sweeps < 1 or not 0.0 < self.tol < math.inf:  # NaN fails too
+            raise ConfigError("solver settings need max_sweeps >= 1 and a finite tol > 0")
 
     def arch_name(self, index: int) -> str:
         return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
@@ -267,8 +266,6 @@ def select_test_nodes(config: ExperimentConfig, graph: Graph, seed: int) -> np.n
 
 def binary_targets(graph: Graph) -> np.ndarray:
     """Class 2 maps to +1, class 1 to -1."""
-    if graph.num_classes != 2:
-        raise ConfigError("binary certification needs a two-class graph")
     return one_vs_all_split(graph.labels, 2)
 
 
@@ -297,40 +294,28 @@ def _dump_csv(rows: list[dict], fields, output_dir: str, name: str) -> str:
     return path
 
 
-def _run_cell(config, graph, kernel, arch, name, test, seed, epsilons, stats):
+def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, stats):
     """One (seed, arch) grid unit: a single scan answers every epsilon.
 
     Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
     from the start of the unit, and counts the scan's leaves into `stats`
-    (an export walks none). An epsilon past the capacity limit gets its
-    CapacityError; a CertlabError in the scan is the error of every epsilon
-    without a snapshot yet.
+    (an export walks none). A CertlabError out of the scan (a capacity limit
+    or a failed solve) is the error of every epsilon without a result yet.
     """
     start = time.perf_counter()
     Qtrain = kernel_submatrix(kernel, graph.labeled, graph.labeled)
     Qcross = kernel_submatrix(kernel, test, graph.labeled)
-    kind = config.certificate
-    if kind in ("multiclass-exact", "multiclass-inexact") and graph.num_classes == 2:
-        kind = "sample"  # K=2 one-vs-all is equivalent to the binary pipeline
-    # with K=2 the multi-class leaf count is the binary one
-    leaf_kinds = graph.num_classes if kind == "multiclass-exact" else 2
     budgets = [Budget(eps, graph.labeled.size) for eps in epsilons]
-    unanswered = [CapacityError(n, config.capacity) for n in
-                  (multiclass_leaf_count(b.m, b.r, leaf_kinds) for b in budgets)
-                  if n > config.capacity and kind != "export-only"]
-    fits = budgets[:len(budgets) - len(unanswered)]
     outputs = _export_outputs if kind == "export-only" else _scan_outputs
     results = []
     try:
-        for out in (outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, fits,
-                            stats) if fits else ()):
+        for out in outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
+                           stats):
             results.append((*out, None, (time.perf_counter() - start) * 1000.0))
-    except ConfigError:
-        raise
     except CertlabError as exc:
-        unanswered[:0] = [exc] * (len(fits) - len(results))
-    ms = (time.perf_counter() - start) * 1000.0
-    return results + [(None, [], None, err, ms) for err in unanswered]
+        ms = (time.perf_counter() - start) * 1000.0
+        results += [(None, [], None, exc, ms)] * (len(budgets) - len(results))
+    return results
 
 
 def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
@@ -418,31 +403,35 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
     for seed in sorted(seeds):
         graph = make_graph(config, seed)
         test = select_test_nodes(config, graph, seed)
-        units += [(seed, graph, test, name, arch,
+        # K = 2 one-vs-all is the binary pipeline, which needs two classes
+        kind = config.certificate
+        if graph.num_classes == 2 and kind.startswith("multiclass"):
+            kind = "sample"
+        elif graph.num_classes != 2 and not kind.startswith("multiclass"):
+            raise ConfigError("binary certification needs a two-class graph")
+        units += [(seed, graph, test, kind, name, arch,
                    ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
     os.makedirs(config.output_dir, exist_ok=True)
 
     timings, errors, rows, per_node_all, witness_all, stats = {}, {}, [], [], {}, {}
     replay = config.replay_timings or {}
-    for seed, graph, test, name, arch, kernel in units:
+    for seed, graph, test, kind, name, arch, kernel in units:
         unit_stats = stats[f"s{seed}|{name}"] = ScanStats()
-        cells = _run_cell(config, graph, kernel, arch, name, test, seed, epsilons, unit_stats)
+        cells = _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, unit_stats)
         for eps, (row, per_node, witness, err, ms) in zip(epsilons, cells):
             key = _cell_key(seed, name, eps)
             timings[key] = replay.get(key, ms)
             if err is not None:
                 errors[key] = err
-            if config.certificate == "export-only":
-                if witness is not None:
-                    witness_all[key] = witness
+            if witness is not None:
+                witness_all[key] = witness
+            if kind == "export-only":
                 continue
             vals = (float("nan"),) * 3 if err is not None else row
             rows.append(dict(zip(METRICS_FIELDS, (seed, name, eps, config.certificate, *vals,
                                                   timings[key]))))
             for rec in per_node:
                 per_node_all.append({"seed": seed, "arch": name, "epsilon": eps, **rec})
-            if witness is not None:
-                witness_all[key] = witness
 
     metrics_path = _dump_csv(rows, METRICS_FIELDS, config.output_dir, "metrics.csv")
     per_node_path = _dump_json(per_node_all, config.output_dir, "per_node.json",

@@ -32,14 +32,14 @@ class ResourceError(CertlabError):
 class CapacityError(CertlabError):
     """Exhaustive certification would exceed the leaf budget.
 
-    Raised before any enumeration starts; carries the would-be leaf
-    count. Large instances should be exported as MPS/LP files and
-    handed to an external MILP solver instead.
+    Carries the leaf count of the first budget past the limit, a lower bound
+    for every larger one. Export such instances as MPS/LP files and hand
+    them to an external MILP solver instead.
     """
 
     def __init__(self, leaves: int, cap: int):
         super().__init__(
-            f"enumeration needs {leaves} leaves but the capacity limit is {cap}; "
+            f"enumeration needs at least {leaves} leaves but the capacity limit is {cap}; "
             "export the instance with write_mps/write_lp and solve it externally"
         )
         self.leaves = leaves

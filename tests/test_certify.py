@@ -27,8 +27,7 @@ from certlab.certify import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     ScanStats,
-    binary_leaf_count,
-    multiclass_leaf_count,
+    leaf_count,
     reduce_binary,
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
@@ -72,9 +71,9 @@ class TestBudget:
             Budget(1.2, 10)
 
     def test_leaf_counts(self):
-        assert binary_leaf_count(10, 2) == 56
-        assert binary_leaf_count(10, 0) == 1
-        assert multiclass_leaf_count(9, 1, 3) == 19
+        assert leaf_count(10, 2) == 56
+        assert leaf_count(10, 0) == 1
+        assert leaf_count(9, 1, 3) == 19
 
 
 class TestCertifySample:
@@ -293,6 +292,58 @@ class TestReducers:
         with pytest.raises(ValueError, match="ascending"):
             next(reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS))
 
+    def test_binary_walk_stops_at_capacity(self):
+        q, y, qcross, C = random_instance(70)
+        budgets = [Budget(eps, y.size) for eps in (0.13, 0.25, 0.38)]  # 9, 37, 93 leaves
+        stats = ScanStats()
+        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=40),
+                               stats=stats)
+        next(stream)
+        for budget in budgets[:2]:
+            certs, coll = next(stream)
+            assert certs == certify_samples(q, qcross, y, C, budget, range(6))
+            single = certify_collective(q, qcross, y, C, budget, range(6))
+            assert (coll.max_misclassified, coll.witness) == (single.max_misclassified,
+                                                              single.witness)
+        with pytest.raises(CapacityError) as err:
+            next(stream)
+        assert (err.value.leaves, err.value.cap) == (93, 40)
+        assert stats.leaves == 37  # level 3 never starts
+        # no budget fits: the stream refuses before the clean leaf
+        stats = ScanStats()
+        with pytest.raises(CapacityError) as err:
+            next(reduce_binary(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=8),
+                               stats=stats))
+        assert (err.value.leaves, stats.leaves) == (9, 0)
+
+    @pytest.mark.parametrize("reduce, certify, answered, leaves", [
+        # 19 relabelings at r = 1, 163 at r = 2
+        (reduce_multiclass_exact, certify_multiclass_exact, 1, 3 * 10),
+        # 10 flip sets per class at r = 1, 46 at r = 2
+        (reduce_multiclass_inexact, certify_multiclass_inexact, 2, 3 * 46),
+    ])
+    def test_multiclass_walk_stops_at_capacity(self, reduce, certify, answered, leaves):
+        q, labels, qcross = multiclass_instance(75)
+        budgets = [Budget(0.12, 9), Budget(0.23, 9)]  # r = 1, 2
+        stats = ScanStats()
+        stream = reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **dict(OPTS, cap=100),
+                        stats=stats)
+        next(stream)
+        for budget in budgets[:answered]:
+            for row, cert in enumerate(next(stream)):
+                single = certify(q, qcross[row], labels, 3, 1.0, budget, t=row)
+                assert (cert.node, cert.robust, cert.witness) == (
+                    single.node, single.robust, single.witness)
+                assert cert.worst_objective == pytest.approx(single.worst_objective,
+                                                              abs=1e-12)
+        if answered < len(budgets):
+            with pytest.raises(CapacityError) as err:
+                next(stream)
+            assert err.value.leaves == 163
+        else:
+            assert next(stream, None) is None
+        assert stats.leaves == leaves
+
     def test_multiclass_exact_rows_match_brute_force(self):
         q, labels, qcross = multiclass_instance(73)
         # r = 0, 1, 2: class flip sets of size 2 first appear at r = 2
@@ -440,7 +491,7 @@ class TestActiveSetLeaves:
         assert (coll.max_misclassified, coll.witness) == (oracle.max_misclassified,
                                                           oracle.witness)
         unsaturated = not saturates(q, C)
-        assert stats.leaves == binary_leaf_count(y.size, 2)
+        assert stats.leaves == leaf_count(y.size, 2)
         assert len(calls) == (stats.leaves if unsaturated else 0)
         # the clean leaf is a cold coordinate descent; every child verifies or falls back
         assert stats.verified_leaves + stats.cd_fallbacks == len(calls) - unsaturated

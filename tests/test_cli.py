@@ -8,7 +8,7 @@ import pytest
 import certlab.certify
 from certlab import (CbaParams, CsbmParams, Graph, load_graph, load_kernel, normalize_features,
                      sample_cba, sample_csbm, save_graph)
-from certlab.certify import binary_leaf_count
+from certlab.certify import leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
 from conftest import count_solves
@@ -101,6 +101,7 @@ class TestConfig:
         {"architectures": [{"name": "g/cn", "kind": "gcn", "C": 0.05}]},
         {"architectures": [{"name": "../gcn", "kind": "gcn", "C": 0.05}]},
         {"architectures": [{"name": "g\\cn", "kind": "gcn", "C": 0.05}]},
+        {"tol": float("inf")},  # one sweep and any in-box guess would pass
     ])
     def test_malformed_grid_inputs(self, tmp_path, override):
         with pytest.raises(ConfigError):
@@ -287,6 +288,7 @@ class TestRun:
                           dataset={"kind": "file", "path": str(tmp_path / "g3.json")})
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "binary certification needs a two-class graph" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def three_class_graph(path, per_class=5, labeled_per_class=2):
@@ -335,7 +337,7 @@ class TestOneScanPerUnit:
         assert len(json.load(open(bundle.per_node_path))) == 2 * 4
         # one solve per flip set of the largest budget (m=6, r=2) in each of the
         # K one-vs-all scans, shared by every relabeling, test node and epsilon
-        assert len(calls) == 3 * binary_leaf_count(6, 2)
+        assert len(calls) == 3 * leaf_count(6, 2)
 
     def test_manifest_counts_leaves_per_unit(self, tmp_path, monkeypatch):
         archs = [dict(a, C=C) for a, C in zip(base_config(tmp_path)["architectures"],
@@ -347,7 +349,7 @@ class TestOneScanPerUnit:
         assert list(stats) == ["s0|gcn", "s0|lin", "s1|gcn", "s1|lin"]
         assert True in saturated and False in saturated
         for unit, pinned in zip(stats.values(), saturated):
-            assert unit["leaves"] == binary_leaf_count(6, 3)  # m = 6, eps = 0.5
+            assert unit["leaves"] == leaf_count(6, 3)  # m = 6, eps = 0.5
             children = unit["verified_leaves"] + unit["cd_fallbacks"]
             assert children == (0 if pinned else unit["leaves"] - 1)
         first = open(bundle.manifest_path, "rb").read()
@@ -372,6 +374,39 @@ class TestOneScanPerUnit:
         witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
         assert list(witnesses) == ["s0|gcn|e0.17"]
         assert witnesses["s0|gcn|e0.17"] == json.load(open(clean.witness_path))["s0|gcn|e0.17"]
+
+    @pytest.mark.parametrize("kind, answered, leaves", [
+        # relabelings per eps: 13 (r=1), 73 (r=2), 233 (r=3); K scans walk r=1
+        ("multiclass-exact", 1, 3 * leaf_count(6, 1)),
+        # flip sets per class: 7, 22, 42; K scans walk r=2
+        ("multiclass-inexact", 2, 3 * leaf_count(6, 2)),
+    ])
+    def test_multiclass_walk_stops_at_capacity(self, tmp_path, kind, answered, leaves):
+        epsilons = [0.17, 0.34, 0.5]
+        clean = run(ExperimentConfig.from_dict(dict(
+            multiclass_grid_config(tmp_path, "clean"), certificate=kind, epsilons=epsilons)))
+        cfg = dict(multiclass_grid_config(tmp_path), certificate=kind, epsilons=epsilons,
+                   capacity=30)
+        assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 3
+        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        assert manifest["stats"]["s0|gcn"]["leaves"] == leaves
+        # every eps past the first over-cap one shares its error
+        first_over = leaf_count(6, answered + 1, 3 if kind == "multiclass-exact" else 2)
+        assert manifest["errors"] == {
+            f"s0|gcn|e{eps}": f"enumeration needs at least {first_over} leaves but the "
+            "capacity limit is 30; export the instance with write_mps/write_lp and solve "
+            "it externally" for eps in epsilons[answered:]}
+        assert set(manifest["error_kinds"].values()) == {"CapacityError"}
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        science = ("certified_ratio", "certified_accuracy", "clean_accuracy")
+        assert [[r[k] for k in science] for r in rows] == (
+            [[repr(r[k]) for k in science] for r in clean.rows[:answered]]
+            + [["nan"] * 3] * (len(epsilons) - answered))
+        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
+        want = json.load(open(clean.witness_path))
+        assert witnesses == {f"s0|gcn|e{eps}": want[f"s0|gcn|e{eps}"]
+                             for eps in epsilons[:answered]}
 
     def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
         # C = 1 keeps every unit off the saturated shortcut, so each leaf is a solve
