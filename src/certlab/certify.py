@@ -1,37 +1,47 @@
-"""Exact certification by structured enumeration with a QP leaf oracle.
+"""Exact certification: closed forms when saturated, otherwise structured
+enumeration with a QP leaf oracle.
 
 Every certificate minimizes (or maximizes) over admissible relabelings.
-One walk, `_scan_flips`, yields the margins of every test row for each
+The `reduce_*` generators answer every test row and an ascending list of
+budgets in one pass: they yield the clean margins, then one snapshot per
+budget. The `certify_*` functions are single-budget calls into them.
+Prediction values are unique across optimal duals, so each optimum equals
+the corresponding MILP optimum, and each witness is the first minimizer in
+size-ascending lexicographic order.
+
+In the saturated regime, C * max_i sum_j |Q_ij| < 1 (`svm.saturates`,
+which holds in the paper's small-C setting), every leaf's dual is C * 1
+whatever the labels, so a margin is linear in the labels and each node's
+relabeling moves it by a fixed amount. The sample-wise and both
+multi-class reducers then answer every budget in closed form: one stable
+sort and cumulative sum per test row (per row and class for multi-class)
+picks the at most r largest gains. They walk no leaf and have no capacity
+limit. The collective certificate stays combinatorial and walks.
+
+The walk, `_scan_flips`, yields the margins of every test row for each
 binary flip set in size-ascending lexicographic order, each leaf
 warm-started from its parent. The multi-class reducers run it once per
 one-vs-all class; a multi-class relabeling's class-c margins are a leaf
 of the class-c scan, so the exact reducer solves no QP of its own. No
 leaf depends on the test node or the budget, and a smaller budget's
-leaves are a prefix of the walk, so the `reduce_*` generators answer
-every test row and an ascending list of budgets in one pass: they yield
-the clean margins, then one snapshot per budget within the capacity
-limit as soon as the walk completes it, then raise the CapacityError of
-the first budget past it. The `certify_*` functions are single-budget
-calls into them. Prediction values are unique across optimal duals, so
-the enumerated optimum equals the corresponding MILP optimum.
+leaves are a prefix of the walk, so a walking reducer yields each
+budget's snapshot within the capacity limit as soon as the walk completes
+it, then raises the CapacityError of the first budget past it.
 
-Each scan validates its `SvmProblem` up front. In the saturated regime,
-C * max_i sum_j |Q_ij| < 1 (`svm.saturates`, which holds in the paper's
-small-C setting), every leaf's dual is C * 1 whatever the labels, so no
-leaf QP is solved and each leaf costs one `margins` product. Coordinate
-descent lands exactly on C * 1 there as well, so the outputs are identical
-either way. Otherwise the clean leaf is a cold coordinate descent and
-every other leaf's dual a `solve_active_set` step guessed from its
-parent's dual: a direct solve of the free block, accepted only if it
-passes coordinate descent's own stopping test on a fresh gradient. When no
-guess verifies within a few rounds, or the free block is singular, the
-leaf falls back to coordinate descent warm-started from the parent. A
-`ScanStats` passed to a reducer counts the leaves, the verified ones and
-the fallbacks.
+Each reducer validates its `SvmProblem` up front. A saturated collective
+walk solves no leaf QP: each leaf costs one `margins` product. Otherwise
+the clean leaf is a cold coordinate descent and every other leaf's dual a
+`solve_active_set` step guessed from its parent's dual: a direct solve of
+the free block, accepted only if it passes coordinate descent's own
+stopping test on a fresh gradient. When no guess verifies within a few
+rounds, or the free block is singular, the leaf falls back to coordinate
+descent warm-started from the parent. A `ScanStats` passed to a reducer
+counts the leaves, the verified ones, the fallbacks and the certificates
+answered in closed form.
 
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
-reference the fast path is tested against.
+reference the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -113,15 +123,18 @@ class MetricsRow:
 
 @dataclass
 class ScanStats:
-    """Deterministic counters of the leaves the flip scans of a unit walked.
+    """Deterministic counters of the certificates a unit answered.
 
     Only unsaturated child leaves are verified or fall back; a clean leaf
-    and a saturated leaf count in `leaves` alone.
+    and a saturated leaf count in `leaves` alone. A saturated sample-wise or
+    multi-class certificate walks no leaf: it counts once per test row and
+    budget in `closed_form_rows`.
     """
 
     leaves: int = 0
-    verified_leaves: int = 0  # child duals accepted from solve_active_set
-    cd_fallbacks: int = 0     # child duals solved by coordinate descent instead
+    verified_leaves: int = 0   # child duals accepted from solve_active_set
+    cd_fallbacks: int = 0      # child duals solved by coordinate descent instead
+    closed_form_rows: int = 0  # (test row, budget) certificates answered without a walk
 
 
 def leaf_count(m: int, r: int, num_classes: int = 2) -> int:
@@ -134,12 +147,16 @@ def _check_capacity(leaves: int, cap: int) -> None:
         raise CapacityError(leaves, cap)
 
 
-def _budget_ends(budgets, m, num_classes, cap):
-    """(leaf number -> snapshots due after it, r of the last budget within cap,
-    CapacityError of the first budget past it or None, raised if none fits)."""
+def _budget_rs(budgets):
     rs = [b.r for b in budgets]
     if not rs or rs != sorted(rs):
         raise ValueError("budgets must be a non-empty list in ascending order")
+    return rs
+
+
+def _budget_ends(rs, m, num_classes, cap):
+    """(leaf number -> snapshots due after it, r of the last budget within cap,
+    CapacityError of the first budget past it or None, raised if none fits)."""
     counts = [leaf_count(m, r, num_classes) for r in rs]
     fit = sum(n <= cap for n in counts)  # counts ascend with r
     over = CapacityError(counts[fit], cap) if fit < len(counts) else None
@@ -180,6 +197,32 @@ def _certificates(test_ids, worst, witness):
             for i, t in enumerate(test_ids)]
 
 
+def _closed_form(test_ids, answers, stats):
+    """The certificate list of each (worst, witness) a closed form answers."""
+    for worst, witness in answers:
+        stats.closed_form_rows += len(test_ids)
+        yield _certificates(test_ids, worst, witness)
+
+
+def _top_gains(gains, rs):
+    """Yield, per r in rs, each row's sum of its at most r largest positive
+    gains and their columns as a sorted tuple.
+
+    A stable sort ranks tied gains by column, so the tuple is the first set,
+    in size-ascending lexicographic order, whose gains reach that sum.
+    """
+    order = np.argsort(-gains, axis=1, kind="stable")
+    ranked = np.take_along_axis(gains, order, axis=1)
+    positive = ranked > 0.0
+    sums = np.cumsum(np.where(positive, ranked, 0.0), axis=1)
+    sums = np.hstack([np.zeros((len(gains), 1)), sums])
+    count, rows = positive.sum(axis=1), np.arange(len(gains))
+    for r in rs:
+        taken = np.minimum(r, count)
+        yield (sums[rows, taken],
+               [tuple(sorted(o[:k].tolist())) for o, k in zip(order, taken)])
+
+
 def _solve_leaf(Qtrain, ytil, C, alpha0, tol, max_sweeps, stats):
     """The dual of one unsaturated leaf; Qtrain is already validated.
 
@@ -198,19 +241,20 @@ def _solve_leaf(Qtrain, ytil, C, alpha0, tol, max_sweeps, stats):
     return solve_dual(SvmProblem(Qtrain, ytil, C), tol, max_sweeps, alpha0=alpha0).alpha
 
 
-def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats=None):
+def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats=None, saturated=False):
     """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
 
-    SvmProblem(Qtrain, y, C) is validated once; leaves only flip signs of
-    y. If `saturates(Qtrain, C)`, every leaf's dual is C * 1 and no QP is
-    solved. Otherwise each leaf is one `_solve_leaf`, a child guessed or
+    `problem` is a validated SvmProblem; leaves only flip signs of its
+    labels. If `saturated` (its `saturates` verdict; only the collective
+    reducer walks a saturated problem), every leaf's dual is C * 1 and no QP
+    is solved. Otherwise each leaf is one `_solve_leaf`, a child guessed or
     warm-started from its parent (the set minus its largest element). Every
     dual passes the same stopping test, so warm starts affect speed only.
     `stats` (a ScanStats) counts the leaves.
     """
     stats = ScanStats() if stats is None else stats
-    problem = SvmProblem(Qtrain, y, C)
-    if saturates(problem.Qtrain, C):
+    y, C = problem.y, problem.C
+    if saturated:
         pinned = np.full(problem.m, C, dtype=np.float64)
         pinned.setflags(write=False)
         solve = lambda ytil, alpha0: pinned
@@ -230,38 +274,64 @@ def _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats=None):
         prev = cur
 
 
-def _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats):
-    """The K one-vs-all flip scans, class c at index c - 1."""
-    return [_scan_flips(Qtrain, Qcross, one_vs_all_split(labels, c), C, r, tol, max_sweeps,
-                        stats) for c in range(1, num_classes + 1)]
+def reduce_samples(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
+                   stats=None):
+    """Per budget, the SampleCertificate list of the Qcross rows (see certify_sample).
 
-
-def reduce_binary(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
-                  stats=None):
-    """Per budget, the sample-wise SampleCertificate list and the
-    CollectiveCertificate of the Qcross rows, both from the same leaves.
-    Every reducer counts the leaves of its scans into `stats`, if given."""
+    Saturated, flipping y_i lowers sign(p_hat_t) * p_t by
+    g_ti = 2C sign(p_hat_t) y_i Q_ti whatever else flips, so the worst case
+    flips the at most r largest positive gains: every budget is answered in
+    closed form and `cap` does not apply. Otherwise the flip walk keeps each
+    row's running minimum. Every reducer counts into `stats`, if given.
+    """
     Qcross, test_ids = _test_rows(Qcross, test_ids)
-    y = np.asarray(y, dtype=np.float64)
-    ends, r, over = _budget_ends(budgets, y.size, 2, cap)
-    best, witness, most = np.full(len(test_ids), math.inf), [()] * len(test_ids), -1
-    leaves = _scan_flips(Qtrain, Qcross, y, C, r, tol, max_sweeps, stats)
+    rs, problem = _budget_rs(budgets), SvmProblem(Qtrain, y, C)
+    stats = ScanStats() if stats is None else stats
+    if saturates(problem.Qtrain, C):
+        p = margins(np.full(problem.m, C), problem.y, Qcross)
+        yield p
+        sign = np.sign(p)
+        gains = 2.0 * C * sign[:, None] * problem.y * Qcross
+        yield from _closed_form(test_ids, ((sign * p - total, witness) for total, witness
+                                           in _top_gains(gains, rs)), stats)
+        return
+    ends, r, over = _budget_ends(rs, problem.m, 2, cap)
+    best, witness = np.full(len(test_ids), math.inf), [()] * len(test_ids)
+    leaves = _scan_flips(problem, Qcross, r, tol, max_sweeps, stats)
+    for n, (flips, p) in enumerate(leaves, 1):
+        if n == 1:
+            sign = np.sign(p)
+            yield p
+        best = _improve(best, sign * p, witness, flips)
+        for _ in range(ends[n]):
+            # an undefined clean sign has no worst case above 0
+            yield _certificates(test_ids, np.where(sign == 0.0, 0.0, best), witness)
+    if over:
+        raise over
+
+
+def reduce_collective(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
+                      stats=None):
+    """Per budget, the CollectiveCertificate of the Qcross rows (see
+    certify_collective). It walks the flip sets in every regime."""
+    Qcross, test_ids = _test_rows(Qcross, test_ids)
+    problem = SvmProblem(Qtrain, y, C)
+    ends, r, over = _budget_ends(_budget_rs(budgets), problem.m, 2, cap)
+    leaves = _scan_flips(problem, Qcross, r, tol, max_sweeps, stats,
+                         saturated=saturates(problem.Qtrain, C))
+    most = -1
     for n, (flips, p) in enumerate(leaves, 1):
         if n == 1:
             sign = np.sign(p)
             zero = sign == 0.0
-            defined = ~zero
             yield p
-        objective = sign * p
-        best = _improve(best, objective, witness, flips)
-        broken = objective <= 0.0
-        count = int(np.count_nonzero(broken & defined))
+        broken = sign * p <= 0.0
+        count = int(np.count_nonzero(broken & ~zero))
         if count > most:
-            most, collective = count, (flips, broken | zero)
+            most, witness = count, (flips, broken | zero)
         for _ in range(ends[n]):
             # an undefined clean sign counts as misclassified outright
-            yield (_certificates(test_ids, np.where(zero, 0.0, best), witness),
-                   CollectiveCertificate(most + int(np.sum(zero)), *collective))
+            yield CollectiveCertificate(most + int(np.sum(zero)), *witness)
     if over:
         raise over
 
@@ -278,9 +348,9 @@ def certify_sample(Qtrain, Qcross_t, y, C, budget: Budget, t: int,
 def certify_samples(Qtrain, Qcross, y, C, budget: Budget, test_ids,
                     cap: int = DEFAULT_CAPACITY, tol: float = DEFAULT_TOL,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[SampleCertificate]:
-    """Sample-wise certificates for all rows of Qcross in one enumeration pass."""
-    _, (certs, _) = reduce_binary(Qtrain, Qcross, y, C, [budget], test_ids,
-                                  cap=cap, tol=tol, max_sweeps=max_sweeps)
+    """Sample-wise certificates for all rows of Qcross in one pass."""
+    _, certs = reduce_samples(Qtrain, Qcross, y, C, [budget], test_ids,
+                              cap=cap, tol=tol, max_sweeps=max_sweeps)
     return certs
 
 
@@ -291,14 +361,25 @@ def certify_collective(Qtrain, Qcross, y, C, budget: Budget, test_ids,
     test_ids = [int(t) for t in test_ids]
     if not test_ids:
         raise ValueError("collective certification needs a non-empty test set")
-    _, (_, cert) = reduce_binary(Qtrain, Qcross, y, C, [budget], test_ids,
-                                 cap=cap, tol=tol, max_sweeps=max_sweeps)
+    _, cert = reduce_collective(Qtrain, Qcross, y, C, [budget], test_ids,
+                                cap=cap, tol=tol, max_sweeps=max_sweeps)
     return cert
 
 
 # ---------------------------------------------------------------------------
 # Multi-class certificates (one-vs-all ensembles sharing one kernel)
 # ---------------------------------------------------------------------------
+
+def _class_problems(Qtrain, labels, num_classes, C):
+    """The K validated one-vs-all problems, class c at index c - 1."""
+    return [SvmProblem(Qtrain, one_vs_all_split(labels, c), C)
+            for c in range(1, num_classes + 1)]
+
+
+def _pinned_margins(problems, Qcross):
+    """P[c - 1], the class-c margins of the saturated dual C * 1."""
+    return np.array([margins(np.full(p.m, p.C), p.y, Qcross) for p in problems])
+
 
 def _relabeling_margins(labels, scans, r):
     """Yield (changes, P) per relabeling with at most r changed nodes, by
@@ -320,15 +401,60 @@ def _relabeling_margins(labels, scans, r):
                     for c, table in zip(classes, tables)])
 
 
+def _closed_exact(P, labels, C, Qcross, rs):
+    """Yield, per r in rs, the saturated exact worst gap and witness of each row.
+
+    Moving node i from class l to n shifts every p_x by a (1[x = n] - 1[x = l]),
+    a = 2C Q_ti, whatever else moves. Against one competitor c, the best
+    move of node i lowers the gap p_chat - p_c by 2a if l = chat (moving to
+    c), by -2a if l = c (moving to chat) and by |a| otherwise (moving to c
+    if a > 0, to chat if a < 0); a fall that is not positive is never taken.
+    The worst gap against c takes the at most r largest falls, and the
+    worst case is the smallest gap over c != chat. The witness is the first,
+    in enumeration order, of the competitors' minimizers reaching it.
+    """
+    K, T = P.shape
+    rows = np.arange(T)
+    c_hat = np.argmax(P, axis=0)
+    a = 2.0 * C * Qcross
+    own = labels - 1
+    falls = np.where((own == c_hat[:, None])[:, None], 2.0 * a[:, None],
+                     np.where(own == np.arange(K)[:, None], -2.0 * a[:, None],
+                              np.abs(a)[:, None]))
+    gap = (P[c_hat, rows] - P).T
+    for total, moved in _top_gains(falls.reshape(T * K, -1), rs):
+        value = gap - total.reshape(T, K)
+        value[rows, c_hat] = math.inf
+        worst = value.min(axis=1)
+        witness = []
+        for t in rows:
+            keys = []
+            for c in np.flatnonzero(value[t] == worst[t]):
+                nodes = moved[t * K + c]
+                to = tuple(int(c if a[t, i] > 0.0 else c_hat[t]) + 1 for i in nodes)
+                keys.append((len(nodes), nodes, to))
+            _, nodes, to = min(keys)
+            witness.append(tuple(zip(nodes, to)))
+        yield worst, witness
+
+
 def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
                             *, cap, tol, max_sweeps, stats=None):
     """Exact multi-class certificates of every Qcross row (see
-    certify_multiclass_exact). The margins of every leaf of the K scans are
-    kept: K * leaf_count(m, r) * |T| floats."""
+    certify_multiclass_exact). Saturated, every budget is answered in closed
+    form (`_closed_exact`) and `cap` does not apply. Otherwise the walk keeps
+    the margins of every leaf of the K scans: K * leaf_count(m, r) * |T| floats."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
-    ends, r, over = _budget_ends(budgets, labels.size, num_classes, cap)
-    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats)
+    rs, problems = _budget_rs(budgets), _class_problems(Qtrain, labels, num_classes, C)
+    stats = ScanStats() if stats is None else stats
+    if saturates(problems[0].Qtrain, C):
+        P = _pinned_margins(problems, Qcross)
+        yield P
+        yield from _closed_form(test_ids, _closed_exact(P, labels, C, Qcross, rs), stats)
+        return
+    ends, r, over = _budget_ends(rs, labels.size, num_classes, cap)
+    scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
     rows = np.arange(len(test_ids))
     best, witness = np.full(rows.size, math.inf), [()] * rows.size
     for n, (changes, P) in enumerate(_relabeling_margins(labels.tolist(), scans, r), 1):
@@ -345,12 +471,28 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
 def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
                               *, cap, tol, max_sweeps, stats=None):
     """Relaxed multi-class certificates of every Qcross row (see
-    certify_multiclass_inexact); the K one-vs-all scans run in lockstep."""
+    certify_multiclass_inexact). Saturated, flipping node i lowers p_c by
+    2C y^c_i Q_ti, so the lowest p_chat and the highest other p_c each take
+    the binary closed form and `cap` does not apply. Otherwise the K
+    one-vs-all scans run in lockstep."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
-    ends, r, over = _budget_ends(budgets, labels.size, 2, cap)
-    scans = _class_scans(Qtrain, Qcross, labels, num_classes, C, r, tol, max_sweeps, stats)
+    rs, problems = _budget_rs(budgets), _class_problems(Qtrain, labels, num_classes, C)
+    stats = ScanStats() if stats is None else stats
     rows = np.arange(len(test_ids))
+    if saturates(problems[0].Qtrain, C):
+        P = _pinned_margins(problems, Qcross)
+        yield P
+        c_hat = np.argmax(P, axis=0)
+        falls = 2.0 * C * np.array([p.y for p in problems])[:, None, :] * Qcross
+        lows = _top_gains(falls[c_hat, rows], rs)
+        highs = _top_gains(-falls.reshape(-1, labels.size), rs)
+        yield from _closed_form(test_ids, (
+            (P[c_hat, rows] - low - _runner_up(P + high.reshape(P.shape), c_hat), witness)
+            for (low, witness), (high, _) in zip(lows, highs)), stats)
+        return
+    ends, r, over = _budget_ends(rs, labels.size, 2, cap)
+    scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
     low, witness = np.full(rows.size, math.inf), [()] * rows.size
     high = np.full((num_classes, rows.size), -math.inf)
     for n, leaves in enumerate(zip(*scans), 1):

@@ -34,9 +34,10 @@ from .certify import (
     Budget,
     ScanStats,
     metrics,
-    reduce_binary,
+    reduce_collective,
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
+    reduce_samples,
 )
 from .errors import CapacityError, CertlabError, ConfigError, GraphFormatError
 from .graph import (
@@ -295,12 +296,13 @@ def _dump_csv(rows: list[dict], fields, output_dir: str, name: str) -> str:
 
 
 def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, stats):
-    """One (seed, arch) grid unit: a single scan answers every epsilon.
+    """One (seed, arch) grid unit: a single reducer pass answers every epsilon.
 
     Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
-    from the start of the unit, and counts the scan's leaves into `stats`
-    (an export walks none). A CertlabError out of the scan (a capacity limit
-    or a failed solve) is the error of every epsilon without a result yet.
+    from the start of the unit, and counts the reducer's leaves and closed-form
+    rows into `stats` (an export counts none). A CertlabError out of the
+    reducer (a capacity limit or a failed solve) is the error of every
+    epsilon without a result yet.
     """
     start = time.perf_counter()
     Qtrain = kernel_submatrix(kernel, graph.labeled, graph.labeled)
@@ -320,16 +322,16 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, sta
 
 def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
                   stats):
-    """(row, per_node, witness) of each budget, in step with one scan."""
+    """(row, per_node, witness) of each budget, in step with the unit's reducer."""
     labels, C = graph.labels[graph.labeled], float(arch["C"])
     opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps,
                 stats=stats)
     if kind in ("sample", "collective"):
-        stream = reduce_binary(Qtrain, Qcross, binary_targets(graph)[graph.labeled], C,
-                               budgets, test, **opts)
+        reduce = reduce_samples if kind == "sample" else reduce_collective
+        stream = reduce(Qtrain, Qcross, binary_targets(graph)[graph.labeled], C, budgets, test,
+                        **opts)
         p = next(stream)
         predicted = np.where(p > 0, 2, np.where(p < 0, 1, 0))
-        stream = (certs if kind == "sample" else coll for certs, coll in stream)
     else:
         reduce = (reduce_multiclass_exact if kind == "multiclass-exact"
                   else reduce_multiclass_inexact)
@@ -409,6 +411,8 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             kind = "sample"
         elif graph.num_classes != 2 and not kind.startswith("multiclass"):
             raise ConfigError("binary certification needs a two-class graph")
+        elif graph.num_classes < 2:
+            raise ConfigError("multi-class certification needs at least two classes")
         units += [(seed, graph, test, kind, name, arch,
                    ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
     os.makedirs(config.output_dir, exist_ok=True)

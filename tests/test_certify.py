@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from certlab import (
     Budget,
     CapacityError,
+    CollectiveCertificate,
     MetricsRow,
     SvmProblem,
     brute_force_oracle,
@@ -28,9 +30,10 @@ from certlab.certify import (
     DEFAULT_TOL,
     ScanStats,
     leaf_count,
-    reduce_binary,
+    reduce_collective,
     reduce_multiclass_exact,
     reduce_multiclass_inexact,
+    reduce_samples,
 )
 from conftest import count_solves, random_kernel, random_psd
 
@@ -266,6 +269,17 @@ class TestMulticlass:
                                      t=0, cap=100)
 
 
+def comparable(result):
+    """A sample-wise certificate list as is, a collective certificate as a tuple."""
+    if isinstance(result, CollectiveCertificate):
+        return result.max_misclassified, result.witness, result.misclassified.tolist()
+    return result
+
+
+# each binary reducer and its single-budget call
+BINARY = {reduce_samples: certify_samples, reduce_collective: certify_collective}
+
+
 class TestReducers:
     """One scan, many budgets and rows: each snapshot equals its own call."""
 
@@ -275,46 +289,44 @@ class TestReducers:
     def test_binary_multi_budget_equals_single_budget_calls(self, C):
         q, y, qcross, _ = random_instance(70)
         budgets = [Budget(eps, y.size) for eps in self.EPSILONS]
-        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS)
         clean = margins(solve_dual(SvmProblem(q, y, C)).alpha, y, qcross)
-        np.testing.assert_array_equal(next(stream), clean)
-        for budget, (certs, coll) in zip(budgets, stream):
-            assert certs == certify_samples(q, qcross, y, C, budget, range(6))
-            single = certify_collective(q, qcross, y, C, budget, range(6))
-            assert coll.max_misclassified == single.max_misclassified
-            assert coll.witness == single.witness
-            np.testing.assert_array_equal(coll.misclassified, single.misclassified)
-        assert next(stream, None) is None
+        for reduce, certify in BINARY.items():
+            stream = reduce(q, qcross, y, C, budgets, range(6), **OPTS)
+            np.testing.assert_array_equal(next(stream), clean)
+            for budget, result in zip(budgets, stream):
+                single = certify(q, qcross, y, C, budget, range(6))
+                assert comparable(result) == comparable(single)
+            assert next(stream, None) is None
 
     def test_budgets_must_ascend(self):
-        q, y, qcross, C = random_instance(72)
+        q, y, qcross, _ = random_instance(72)
         budgets = [Budget(0.25, y.size), Budget(0.13, y.size)]
-        with pytest.raises(ValueError, match="ascending"):
-            next(reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS))
+        for reduce, C in itertools.product(BINARY, (0.01, 0.7)):  # closed form and walk
+            with pytest.raises(ValueError, match="ascending"):
+                next(reduce(q, qcross, y, C, budgets, range(6), **OPTS))
 
     def test_binary_walk_stops_at_capacity(self):
         q, y, qcross, C = random_instance(70)
+        assert not saturates(q, C)
         budgets = [Budget(eps, y.size) for eps in (0.13, 0.25, 0.38)]  # 9, 37, 93 leaves
-        stats = ScanStats()
-        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=40),
-                               stats=stats)
-        next(stream)
-        for budget in budgets[:2]:
-            certs, coll = next(stream)
-            assert certs == certify_samples(q, qcross, y, C, budget, range(6))
-            single = certify_collective(q, qcross, y, C, budget, range(6))
-            assert (coll.max_misclassified, coll.witness) == (single.max_misclassified,
-                                                              single.witness)
-        with pytest.raises(CapacityError) as err:
+        for reduce, certify in BINARY.items():
+            stats = ScanStats()
+            stream = reduce(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=40),
+                            stats=stats)
             next(stream)
-        assert (err.value.leaves, err.value.cap) == (93, 40)
-        assert stats.leaves == 37  # level 3 never starts
-        # no budget fits: the stream refuses before the clean leaf
-        stats = ScanStats()
-        with pytest.raises(CapacityError) as err:
-            next(reduce_binary(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=8),
-                               stats=stats))
-        assert (err.value.leaves, stats.leaves) == (9, 0)
+            for budget in budgets[:2]:
+                single = certify(q, qcross, y, C, budget, range(6))
+                assert comparable(next(stream)) == comparable(single)
+            with pytest.raises(CapacityError) as err:
+                next(stream)
+            assert (err.value.leaves, err.value.cap) == (93, 40)
+            assert stats.leaves == 37  # level 3 never starts
+            # no budget fits: the stream refuses before the clean leaf
+            stats = ScanStats()
+            with pytest.raises(CapacityError) as err:
+                next(reduce(q, qcross, y, C, budgets, range(6), **dict(OPTS, cap=8),
+                            stats=stats))
+            assert (err.value.leaves, stats.leaves) == (9, 0)
 
     @pytest.mark.parametrize("reduce, certify, answered, leaves", [
         # 19 relabelings at r = 1, 163 at r = 2
@@ -413,9 +425,10 @@ class TestSaturatedShortcut:
         assert saturates(q, C) == (slack < 1)
         calls = count_solves(monkeypatch)
         budgets = [Budget(0.13, y.size), Budget(0.25, y.size)]  # r = 1, 2
-        stream = reduce_binary(q, qcross, y, C, budgets, range(6), **OPTS)
-        next(stream)
-        for budget, (certs, coll) in zip(budgets, stream):
+        samples = reduce_samples(q, qcross, y, C, budgets, range(6), **OPTS)
+        collective = reduce_collective(q, qcross, y, C, budgets, range(6), **OPTS)
+        next(samples), next(collective)
+        for budget, certs, coll in zip(budgets, samples, collective):
             flags, worsts = brute_force_oracle(q, qcross, y, C, budget, "sample")
             assert [c.robust for c in certs] == list(flags)
             np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
@@ -450,6 +463,165 @@ class TestSaturatedShortcut:
         assert (len(calls) == 0) == (slack < 1)
 
 
+def dyadic_instance(seed, m=8, rows=6):
+    """A saturated instance whose margins are exact: an integer kernel and test
+    rows and a power-of-two C. Test column 1 repeats column 0 under the same
+    label (tied gains), column 3 is zero (zero gains), row 0 is zero and row 1
+    sums to a zero clean margin."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    b = rng.integers(-2, 3, size=(m, m)).astype(float)
+    q = b @ b.T
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    y[1] = y[0]
+    qcross = rng.integers(-4, 5, size=(rows, m)).astype(float)
+    qcross[:, 1], qcross[:, 3], qcross[0] = qcross[:, 0], 0.0, 0.0
+    qcross[1, -1] = 0.0
+    qcross[1, -1] = -y[-1] * (y @ qcross[1])
+    C = 2.0 ** -np.ceil(np.log2(np.abs(q).sum(axis=1).max() + 1.0))
+    return q, y, qcross, C
+
+
+def saturated_instance(kind, seed):
+    if kind == "dyadic":
+        return dyadic_instance(seed)
+    q, y, qcross, _ = random_instance(seed)
+    return q, y, qcross, slack_C(q, 0.5)
+
+
+def first_minimizers(relabelings, objective):
+    """Per row, the first relabeling in the given order that minimizes
+    objective(relabeling), a list of exact values, one per row."""
+    best = first = None
+    for changes in relabelings:
+        values = objective(changes)
+        if best is None:
+            best, first = values, [changes] * len(values)
+        for t, value in enumerate(values):
+            if value < best[t]:
+                best[t], first[t] = value, changes
+    return first
+
+
+def exact_margin(q_row, labels, C):
+    """C * sum_i labels_i * q_row_i in rational arithmetic: the margin of the
+    saturated dual C * 1."""
+    return Fraction(C) * sum(Fraction(v) * int(l) for v, l in zip(q_row, labels))
+
+
+def flip_sets(m, r):
+    return [combo for k in range(r + 1) for combo in itertools.combinations(range(m), k)]
+
+
+def relabelings(labels, K, r):
+    for combo in flip_sets(labels.size, r):
+        spaces = [[c for c in range(1, K + 1) if c != labels[i]] for i in combo]
+        for assignment in itertools.product(*spaces):
+            yield tuple(zip(combo, assignment))
+
+
+def flipped(y, combo):
+    ytil = y.copy()
+    ytil[list(combo)] *= -1.0
+    return ytil
+
+
+def relabeled(labels, changes):
+    new = labels.copy()
+    for i, c in changes:
+        new[i] = c
+    return new
+
+
+class TestClosedForms:
+    """Saturated sample-wise and multi-class certificates walk no leaf, and
+    match the oracle, the enumerating walk and an exact first minimizer."""
+
+    BUDGETS = (0.05, 0.13, 0.25, 0.38)  # m=8: r = 0, 1, 2, 3
+
+    @pytest.mark.parametrize("kind, seed", [("dyadic", 100), ("dyadic", 101), ("random", 102)])
+    def test_samples(self, kind, seed, monkeypatch):
+        q, y, qcross, C = saturated_instance(kind, seed)
+        rows, budgets = len(qcross), [Budget(eps, y.size) for eps in self.BUDGETS]
+        assert saturates(q, C)
+        stats = ScanStats()
+        closed = list(reduce_samples(q, qcross, y, C, budgets, range(rows), stats=stats,
+                                     **OPTS))
+        assert (stats.leaves, stats.closed_form_rows) == (0, rows * len(budgets))
+        monkeypatch.setattr(certlab.certify, "saturates", lambda *args: False)
+        walked = list(reduce_samples(q, qcross, y, C, budgets, range(rows), **OPTS))
+        np.testing.assert_array_equal(closed[0], walked[0])
+        sign = [np.sign(float(exact_margin(row, y, C))) for row in qcross]
+
+        def objectives(combo):
+            return [s * exact_margin(row, flipped(y, combo), C) for s, row in zip(sign, qcross)]
+
+        for budget, certs, walk in zip(budgets, closed[1:], walked[1:]):
+            flags, worsts = brute_force_oracle(q, qcross, y, C, budget, "sample")
+            assert [c.robust for c in certs] == [c.robust for c in walk] == list(flags)
+            first = first_minimizers(flip_sets(y.size, budget.r), objectives)
+            assert [c.witness for c in certs] == [c.witness for c in walk] == first
+            for other in (worsts, [c.worst_objective for c in walk]):
+                np.testing.assert_allclose([c.worst_objective for c in certs], other,
+                                           rtol=0.0, atol=1e-12)
+        if kind == "dyadic":
+            assert closed[1][0].worst_objective == 0.0 and not closed[1][1].robust
+            assert any(c.witness and c.witness[0] == 0 and 1 not in c.witness
+                       for certs in closed[1:] for c in certs)  # a tie went to node 0
+
+    @pytest.mark.parametrize("kind, seed", [("dyadic", 110), ("random", 111)])
+    def test_multiclass(self, kind, seed, monkeypatch):
+        if kind == "dyadic":
+            q, _, qcross, C = dyadic_instance(seed, m=9, rows=4)
+        else:
+            q, _, qcross = multiclass_instance(seed)
+            C = slack_C(q, 0.5)
+        labels, rows = np.repeat([1, 2, 3], 3), len(qcross)
+        budgets = [Budget(eps, 9) for eps in (0.05, 0.12, 0.23)]  # r = 0, 1, 2
+        stats = ScanStats()
+        exact = list(reduce_multiclass_exact(q, qcross, labels, 3, C, budgets, range(rows),
+                                             stats=stats, **OPTS))
+        inexact = list(reduce_multiclass_inexact(q, qcross, labels, 3, C, budgets,
+                                                 range(rows), stats=stats, **OPTS))
+        assert (stats.leaves, stats.closed_form_rows) == (0, 2 * rows * len(budgets))
+        monkeypatch.setattr(certlab.certify, "saturates", lambda *args: False)
+        walks = [list(reduce(q, qcross, labels, 3, C, budgets, range(rows), **OPTS))
+                 for reduce in (reduce_multiclass_exact, reduce_multiclass_inexact)]
+        np.testing.assert_array_equal(exact[0], walks[0][0])
+        np.testing.assert_array_equal(inexact[0], walks[1][0])
+
+        def P(relabeling):
+            return [[exact_margin(row, one_vs_all_split(relabeling, c), C) for row in qcross]
+                    for c in (1, 2, 3)]
+
+        clean = P(labels)
+        c_hat = [max(range(3), key=lambda c: (clean[c][t], -c)) for t in range(rows)]
+
+        def gaps(changes):  # p_chat - max_{c != chat} p_c
+            p = P(relabeled(labels, changes))
+            return [p[c_hat[t]][t] - max(p[c][t] for c in range(3) if c != c_hat[t])
+                    for t in range(rows)]
+
+        def lows(combo):  # p_chat under one flip set of its one-vs-all labels
+            return [exact_margin(qcross[t], flipped(one_vs_all_split(labels, c_hat[t] + 1),
+                                                     combo), C) for t in range(rows)]
+
+        for i, budget in enumerate(budgets, 1):
+            _, worsts = brute_force_oracle(q, qcross, labels, C, budget, "multiclass",
+                                           num_classes=3)
+            bound = inexact_reference(q, qcross, labels, 3, C, budget.r)
+            for certs, walk, reference, first in (
+                    (exact[i], walks[0][i], worsts,
+                     first_minimizers(relabelings(labels, 3, budget.r), gaps)),
+                    (inexact[i], walks[1][i], bound,
+                     first_minimizers(flip_sets(9, budget.r), lows))):
+                assert [c.robust for c in certs] == [c.robust for c in walk]
+                assert [c.robust for c in certs] == list(np.asarray(reference) > 0.0)
+                assert [c.witness for c in certs] == [c.witness for c in walk] == first
+                for other in (reference, [c.worst_objective for c in walk]):
+                    np.testing.assert_allclose([c.worst_objective for c in certs], other,
+                                               rtol=0.0, atol=1e-12)
+
+
 def oracle_instance(kind, seed=90, m=7, rows=5):
     """A `random_kernel` of that kind, labels and test rows."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -481,12 +653,13 @@ class TestActiveSetLeaves:
         budget = Budget(0.29, y.size)  # r = 2
         calls, cd = count_solves(monkeypatch), count_cd_solves(monkeypatch)
         stats = ScanStats()
-        _, (certs, coll) = reduce_binary(q, qcross, y, C, [budget], range(5),
-                                         stats=stats, **OPTS)
+        _, certs = reduce_samples(q, qcross, y, C, [budget], range(5), **OPTS)
         flags, worsts = brute_force_oracle(q, qcross, y, C, budget, "sample")
         assert [c.robust for c in certs] == list(flags)
         np.testing.assert_allclose([c.worst_objective for c in certs], worsts,
                                    atol=1e-9 * max(1.0, C))
+        del calls[:], cd[:]  # count the collective walk alone, which runs in every regime
+        _, coll = reduce_collective(q, qcross, y, C, [budget], range(5), stats=stats, **OPTS)
         oracle = brute_force_oracle(q, qcross, y, C, budget, "collective")
         assert (coll.max_misclassified, coll.witness) == (oracle.max_misclassified,
                                                           oracle.witness)

@@ -202,8 +202,10 @@ class TestRun:
                 assert a[key] == b[key]
 
     def test_capacity_error_surfaces_without_aborting(self, tmp_path):
-        # m=6 labeled: eps=0.2 needs 7 leaves, eps=1.0 needs 64
-        cfg = base_config(tmp_path / "out", capacity=8,
+        # m=6 labeled: eps=0.2 needs 7 leaves, eps=1.0 needs 64; C = 1 keeps the
+        # sample-wise certificates off the closed form, which has no capacity limit
+        archs = [dict(a, C=1.0) for a in base_config(tmp_path)["architectures"]]
+        cfg = base_config(tmp_path / "out", capacity=8, architectures=archs,
                           epsilons=[0.2, 1.0])
         path = write_config(tmp_path, cfg)
         rc = main(["certify", "--config", path])
@@ -291,6 +293,20 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("certificate", ["multiclass-exact", "multiclass-inexact"])
+    def test_multiclass_certificate_needs_two_classes(self, tmp_path, capsys, certificate):
+        rng = np.random.Generator(np.random.Philox(8))
+        save_graph(Graph(features=rng.standard_normal((6, 2)),
+                         adjacency=np.ones((6, 6)) - np.eye(6), labels=np.ones(6, dtype=int),
+                         labeled=[0, 1, 2], num_classes=1), tmp_path / "g1.json")
+        cfg = base_config(tmp_path / "out", seeds=[0], certificate=certificate,
+                          test_nodes="all-unlabeled",
+                          dataset={"kind": "file", "path": str(tmp_path / "g1.json")})
+        assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "multi-class certification needs at least two classes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def three_class_graph(path, per_class=5, labeled_per_class=2):
     rng = np.random.Generator(np.random.Philox(7))
     labels = np.repeat([1, 2, 3], per_class)
@@ -349,7 +365,9 @@ class TestOneScanPerUnit:
         assert list(stats) == ["s0|gcn", "s0|lin", "s1|gcn", "s1|lin"]
         assert True in saturated and False in saturated
         for unit, pinned in zip(stats.values(), saturated):
-            assert unit["leaves"] == leaf_count(6, 3)  # m = 6, eps = 0.5
+            # m = 6, eps = 0.5; a saturated unit answers its 5 rows x 2 eps in closed form
+            assert unit["leaves"] == (0 if pinned else leaf_count(6, 3))
+            assert unit["closed_form_rows"] == (5 * 2 if pinned else 0)
             children = unit["verified_leaves"] + unit["cd_fallbacks"]
             assert children == (0 if pinned else unit["leaves"] - 1)
         first = open(bundle.manifest_path, "rb").read()
@@ -407,6 +425,35 @@ class TestOneScanPerUnit:
         want = json.load(open(clean.witness_path))
         assert witnesses == {f"s0|gcn|e{eps}": want[f"s0|gcn|e{eps}"]
                              for eps in epsilons[:answered]}
+
+    @pytest.mark.parametrize("kind", ["sample", "collective", "multiclass-exact",
+                                      "multiclass-inexact"])
+    def test_saturated_grid_runs_past_capacity(self, tmp_path, monkeypatch, kind):
+        # m = 6: eps = 1.0 needs 64 flip sets (729 relabelings); the closed forms
+        # need none, the collective walk stops at the limit
+        archs = [{"name": "gcn", "kind": "gcn", "depth": 1, "conv": "row", "C": 0.001}]
+        grid = dict(epsilons=[0.17, 1.0], capacity=30, architectures=archs, seeds=[0])
+        if kind.startswith("multiclass"):
+            cfg = dict(multiclass_grid_config(tmp_path), certificate=kind, **grid)
+        else:
+            cfg = base_config(tmp_path / "out", certificate=kind, **grid)
+        saturated = record_saturation(monkeypatch)
+        rc = main(["certify", "--config", write_config(tmp_path, cfg)])
+        assert saturated and all(saturated)
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = {r["epsilon"]: r for r in csv.DictReader(fh)}
+        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        finite = [eps for eps, r in rows.items() if r["certified_ratio"] != "nan"]
+        if kind == "collective":
+            assert rc == 3 and finite == ["0.17"]
+            assert manifest["error_kinds"] == {"s0|gcn|e1.0": "CapacityError"}
+            assert manifest["stats"]["s0|gcn"]["leaves"] == leaf_count(6, 1)
+        else:
+            assert rc == 0 and finite == ["0.17", "1.0"] and not manifest["errors"]
+            test_rows = 5 if kind == "sample" else 4
+            assert manifest["stats"]["s0|gcn"] == {"leaves": 0, "verified_leaves": 0,
+                                                   "cd_fallbacks": 0,
+                                                   "closed_form_rows": test_rows * 2}
 
     def test_convergence_error_keeps_other_cells(self, tmp_path, monkeypatch):
         # C = 1 keeps every unit off the saturated shortcut, so each leaf is a solve
