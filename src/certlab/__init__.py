@@ -27,6 +27,7 @@ from .graph import (
 )
 from .ntk import (
     ArchitectureSpec,
+    KernelColumns,
     KernelMatrix,
     kernel_from_csv,
     kernel_submatrix,

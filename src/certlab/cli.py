@@ -53,8 +53,7 @@ from .graph import (
     save_graph,
 )
 from .milp import build_collective, build_samplewise, write_lp, write_mps
-from .ntk import (ArchitectureSpec, kernel_submatrix, kernel_to_csv, ntk_analytic,
-                  ntk_empirical, save_kernel)
+from .ntk import ArchitectureSpec, kernel_to_csv, ntk_analytic, ntk_empirical, save_kernel
 from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
@@ -305,8 +304,7 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, sta
     epsilon without a result yet.
     """
     start = time.perf_counter()
-    Qtrain = kernel_submatrix(kernel, graph.labeled, graph.labeled)
-    Qcross = kernel_submatrix(kernel, test, graph.labeled)
+    Qtrain, Qcross = kernel.Q[graph.labeled], kernel.Q[test]  # its columns are graph.labeled
     budgets = [Budget(eps, graph.labeled.size) for eps in epsilons]
     outputs = _export_outputs if kind == "export-only" else _scan_outputs
     results = []
@@ -400,7 +398,9 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
     seeds, archs, epsilons = config.select(seed_filter, arch_filter, eps_filter)
 
     # kernels all come first: build-then-scan per unit measured 36% more CPU time;
-    # a config error here leaves no output directory behind
+    # a config error here leaves no output directory behind. Certificates and
+    # exports read only K[labeled, labeled] and K[test, labeled], so each unit
+    # holds the n x m columns K[:, labeled], not the n x n kernel.
     units = []
     for seed in sorted(seeds):
         graph = make_graph(config, seed)
@@ -414,7 +414,8 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         elif graph.num_classes < 2:
             raise ConfigError("multi-class certification needs at least two classes")
         units += [(seed, graph, test, kind, name, arch,
-                   ntk_analytic(make_arch_spec(arch, graph), graph)) for name, arch in archs]
+                   ntk_analytic(make_arch_spec(arch, graph), graph, columns=graph.labeled))
+                  for name, arch in archs]
     os.makedirs(config.output_dir, exist_ok=True)
 
     timings, errors, rows, per_node_all, witness_all, stats = {}, {}, [], [], {}, {}

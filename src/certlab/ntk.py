@@ -7,6 +7,15 @@ architecture's sampler runs its own forward pass and records, per layer,
 the layer input and the local derivative; one hand-written reverse-mode
 pass (`_backprop`) turns those records into the draw's kernel.
 
+Certification reads only the kernel's columns over the labeled nodes:
+K[labeled, labeled] for the dual and K[test, labeled] for the margins. So
+`ntk_analytic(spec, graph, columns=...)` returns just the n x m block
+K[:, columns] as `KernelColumns`. Each kind restricts only its last step
+to those columns; PPNP and APPNP never form their n x n propagation
+matrix. Symmetry and PSD are checked
+on the m x m block, the only one a dual over those nodes reads. Without
+`columns` the result is the whole `KernelMatrix`.
+
 Conventions shared by both paths: weights are drawn N(0, 1) and every
 matrix product carries an explicit 1/sqrt(fan-in) factor; "relu" means the
 variance-preserving rectifier sqrt(2)*max(z, 0), so second moments
@@ -93,6 +102,33 @@ class ArchitectureSpec:
         return "/".join(bits)
 
 
+def _symmetric_psd(q: np.ndarray) -> np.ndarray:
+    """q, symmetrized, after checking that it is finite, symmetric within 1e-9
+    of its largest entry and PSD within -1e-8 of its largest eigenvalue."""
+    scale = float(np.abs(q).max(initial=0.0))
+    if not np.all(np.isfinite(q)):
+        raise ValueError("kernel contains non-finite entries")
+    asym = float(np.abs(q - q.T).max(initial=0.0))
+    if scale > 0 and asym > 1e-9 * scale:
+        raise ValueError(f"kernel asymmetry {asym:.3e} exceeds 1e-9 relative")
+    q = (q + q.T) / 2.0
+    eigs = np.linalg.eigvalsh(q)
+    norm = float(np.abs(eigs).max(initial=0.0))
+    if eigs.min(initial=0.0) < -1e-8 * max(norm, 1e-300):
+        raise ValueError(
+            f"kernel is not PSD: smallest eigenvalue {eigs.min():.3e} "
+            f"against norm {norm:.3e}"
+        )
+    return q
+
+
+def _node_index(nodes, n: int) -> np.ndarray:
+    idx = np.asarray(nodes, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"kernel index out of range for n={n}")
+    return idx
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """A symmetric PSD kernel over the graph nodes."""
@@ -102,24 +138,45 @@ class KernelMatrix:
 
     def __post_init__(self):
         q = np.ascontiguousarray(np.asarray(self.Q, dtype=np.float64))
-        scale = float(np.abs(q).max(initial=0.0))
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("kernel must be square")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("kernel contains non-finite entries")
-        asym = float(np.abs(q - q.T).max(initial=0.0))
-        if scale > 0 and asym > 1e-9 * scale:
-            raise ValueError(f"kernel asymmetry {asym:.3e} exceeds 1e-9 relative")
-        q = (q + q.T) / 2.0
-        eigs = np.linalg.eigvalsh(q)
-        norm = float(np.abs(eigs).max(initial=0.0))
-        if eigs.min(initial=0.0) < -1e-8 * max(norm, 1e-300):
-            raise ValueError(
-                f"kernel is not PSD: smallest eigenvalue {eigs.min():.3e} "
-                f"against norm {norm:.3e}"
-            )
+        q = _symmetric_psd(q)
         object.__setattr__(self, "Q", q)
         q.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.Q.shape[0]
+
+
+@dataclass(frozen=True)
+class KernelColumns:
+    """The columns K[:, columns] of a kernel over the graph nodes.
+
+    Q is n x m, one column per entry of `columns`, so Q[rows] is the block
+    K[rows, columns]. It is finite, and its rows `columns`, the block
+    K[columns, columns], are symmetric and PSD under the same tolerances as
+    a KernelMatrix. That block is all a dual over the `columns` nodes needs.
+    """
+
+    Q: np.ndarray
+    columns: np.ndarray
+    source: str
+
+    def __post_init__(self):
+        q = np.array(self.Q, dtype=np.float64)
+        if q.ndim != 2:
+            raise ValueError("kernel columns must be a matrix")
+        cols = _node_index(self.columns, q.shape[0]).copy()  # frozen below, not the caller's
+        if cols.shape != (q.shape[1],):
+            raise ValueError(f"{q.shape[1]} kernel columns need as many node ids, "
+                             f"got shape {cols.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("kernel contains non-finite entries")
+        q[cols] = _symmetric_psd(q[cols])
+        for name, arr in (("Q", q), ("columns", cols)):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -129,13 +186,8 @@ class KernelMatrix:
 def kernel_submatrix(kernel: KernelMatrix | np.ndarray, rows, cols) -> np.ndarray:
     """Dense copy of the Q[rows, cols] block."""
     q = kernel.Q if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
     n = q.shape[0]
-    for idx in (rows, cols):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(f"kernel index out of range for n={n}")
-    return q[np.ix_(rows, cols)].copy()
+    return q[np.ix_(_node_index(rows, n), _node_index(cols, n))].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +251,65 @@ def _activate_deriv(act: str, z: np.ndarray) -> np.ndarray:
 # Analytic kernels
 # ---------------------------------------------------------------------------
 
-def _stack_theta(x: np.ndarray, s: np.ndarray | None, depth: int, act: str) -> np.ndarray:
+def _sandwich(s: np.ndarray | None, inner: np.ndarray, cols) -> np.ndarray:
+    """S inner S^T (`s=None`: inner itself). With `cols`, only its columns
+    `cols`, symmetrized against its rows `cols` as the whole kernel is."""
+    left = inner if s is None else s @ inner
+    if cols is None:
+        return left if s is None else left @ s.T
+    if s is None:
+        block, rows = left[:, cols], left[cols]
+    else:
+        block, rows = left @ s[cols].T, left[cols] @ s.T
+    return (block + rows.T) / 2.0
+
+
+def _gram(a: np.ndarray, cols) -> np.ndarray:
+    """A A^T, or its columns `cols`."""
+    return a @ (a if cols is None else a[cols]).T
+
+
+def _stack_theta(x: np.ndarray, s: np.ndarray | None, depth: int, act: str,
+                 cols=None) -> np.ndarray:
     """GCN recursion: each layer's moments are propagated by S (.) S^T;
-    `s=None` drops the propagation (MLP)."""
-    def prop(m):
-        return m if s is None else s @ m @ s.T
-
-    sig = prop(x @ x.T / x.shape[1])
-    theta = sig.copy()
-    for _ in range(depth):
+    `s=None` drops the propagation (MLP). With `cols`, the last
+    propagation builds only the kernel's columns `cols`."""
+    sig = _sandwich(s, x @ x.T / x.shape[1], None)
+    if depth == 0:  # the bare linear readout (MLP only)
+        return _sandwich(None, sig, cols)
+    theta = sig
+    for layer in range(depth):
         e = _pair_moment(act, act, sig)
-        theta = prop(theta * _deriv_moment(act, sig) + e)
-        sig = prop(e)
-    return theta
+        inner = theta * _deriv_moment(act, sig) + e
+        if layer == depth - 1:  # no later layer reads this layer's moments
+            return _sandwich(s, inner, cols)
+        theta, sig = _sandwich(s, inner, None), _sandwich(s, e, None)
 
 
-def _sgc_theta(x: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
+def _sgc_theta(x: np.ndarray, s: np.ndarray, depth: int, cols) -> np.ndarray:
     # Fully linear network: the kernel collapses to (L+1) * M M^T / d
     # with M = S^(L+1) X.
     m = x
     for _ in range(depth + 1):
         m = s @ m
-    return (depth + 1) * (m @ m.T) / x.shape[1]
+    return (depth + 1) * _gram(m, cols) / x.shape[1]
+
+
+def _ppnp_system(spec: ArchitectureSpec, n: int) -> np.ndarray:
+    """I - (1 - alpha) S, whose inverse times alpha is PPNP's propagation."""
+    a = np.eye(n) - (1.0 - spec.alpha) * spec.conv.S
+    if np.linalg.cond(a) > 1e12:
+        raise SingularPropagationError(
+            "propagation matrix I - (1-alpha) S is singular; "
+            "alpha=0 with a stochastic S has no inverse"
+        )
+    return a
 
 
 def _propagation_matrix(spec: ArchitectureSpec, n: int) -> np.ndarray:
-    s = spec.conv.S
     if spec.kind == "ppnp":
-        a = np.eye(n) - (1.0 - spec.alpha) * s
-        if np.linalg.cond(a) > 1e12:
-            raise SingularPropagationError(
-                "propagation matrix I - (1-alpha) S is singular; "
-                "alpha=0 with a stochastic S has no inverse"
-            )
-        return spec.alpha * np.linalg.solve(a, np.eye(n))
+        return spec.alpha * np.linalg.solve(_ppnp_system(spec, n), np.eye(n))
+    s = spec.conv.S
     p = spec.alpha * np.eye(n)
     pw = np.eye(n)
     for _ in range(spec.power_k - 1):
@@ -242,7 +319,38 @@ def _propagation_matrix(spec: ArchitectureSpec, n: int) -> np.ndarray:
     return p
 
 
-def _skip_pc_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str) -> np.ndarray:
+def _propagated(spec: ArchitectureSpec, base: np.ndarray, cols) -> np.ndarray:
+    """P base P^T for the propagation P of ppnp or appnp, or its columns `cols`.
+
+    The columns P base P[cols]^T never form P. PPNP solves for the
+    m = len(cols) columns instead of inverting. APPNP's
+    P = alpha sum_(k<K) ((1-alpha) S)^k + ((1-alpha) S)^K is applied by
+    Horner, u <- alpha v + (1-alpha) S u, K times from u = v: once with S^T
+    for P[cols]^T = P^T I[:, cols], once with S for P times base P[cols]^T,
+    2K n^2 m in all where forming P costs (K + 2) n^3.
+    """
+    n = base.shape[0]
+    if cols is None:
+        p = _propagation_matrix(spec, n)
+        return p @ base @ p.T
+    unit = np.eye(n)[:, cols]
+    if spec.kind == "ppnp":
+        a = _ppnp_system(spec, n)
+        right = spec.alpha * np.linalg.solve(a.T, unit)
+        return spec.alpha * np.linalg.solve(a, base @ right)
+
+    def apply(m, v):
+        u = v
+        for _ in range(spec.power_k):
+            u = spec.alpha * v + (1.0 - spec.alpha) * (m @ u)
+        return u
+
+    s = spec.conv.S
+    return apply(s, base @ apply(s.T, unit))
+
+
+def _skip_pc_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
+                   cols) -> np.ndarray:
     sig0 = x @ x.T  # random-projection features: second moment X X^T, no 1/d
     mean_skip = _mean_vec(sact, sig0)
     e_skip = _pair_moment(sact, sact, sig0)
@@ -260,11 +368,11 @@ def _skip_pc_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str) -> np.nd
         theta = s @ (theta * _deriv_moment("relu", sig) + a) @ s.T
         sig = s @ a @ s.T
     e = _pair_moment("relu", "relu", sig)
-    return s @ (theta * _deriv_moment("relu", sig) + e) @ s.T
+    return _sandwich(s, theta * _deriv_moment("relu", sig) + e, cols)
 
 
 def _skip_alpha_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
-                      alpha: float) -> np.ndarray:
+                      alpha: float, cols) -> np.ndarray:
     sig0 = x @ x.T
     e_skip = _pair_moment(sact, sact, sig0)
     cross = _pair_moment("linear", sact, sig0)  # E[u_r sigma_s(u_s)]
@@ -277,31 +385,39 @@ def _skip_alpha_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
         a = (1.0 - alpha) ** 2 * (s @ sig @ s.T) + alpha ** 2 * e_skip
         theta = (1.0 - alpha) ** 2 * (s @ theta @ s.T) + a
         sig = a
-    return s @ (theta + sig) @ s.T
+    return _sandwich(s, theta + sig, cols)
 
 
-def ntk_analytic(spec: ArchitectureSpec, graph: Graph) -> KernelMatrix:
-    """Infinite-width tangent kernel of the architecture on this graph."""
+def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
+                 columns=None) -> KernelMatrix | KernelColumns:
+    """Infinite-width tangent kernel of the architecture on this graph.
+
+    With `columns` (node ids), only the columns K[:, columns] are built and
+    returned as KernelColumns: each kind restricts its last step to those
+    columns, so neither an n x n kernel nor its eigendecomposition is
+    formed.
+    """
     x = graph.features
     s = spec.conv.S if spec.conv is not None else None
     if s is not None and s.shape != (graph.n, graph.n):
         raise ValueError("convolution matrix does not match the graph size")
+    cols = None if columns is None else _node_index(columns, graph.n)
     if spec.kind == "linear":
-        return KernelMatrix(x @ x.T, "linear")
-    if spec.kind in ("mlp", "gcn"):
-        theta = _stack_theta(x, s, spec.depth, spec.activation)
+        theta = _gram(x, cols)
+    elif spec.kind in ("mlp", "gcn"):
+        theta = _stack_theta(x, s, spec.depth, spec.activation, cols)
     elif spec.kind == "sgc":
-        theta = _sgc_theta(x, s, spec.depth)
+        theta = _sgc_theta(x, s, spec.depth, cols)
     elif spec.kind in ("ppnp", "appnp"):
-        p = _propagation_matrix(spec, graph.n)
-        theta = p @ _stack_theta(x, None, spec.depth, spec.activation) @ p.T
+        theta = _propagated(spec, _stack_theta(x, None, spec.depth, spec.activation), cols)
     elif spec.kind == "skip_pc":
-        theta = _skip_pc_theta(x, s, spec.depth, spec.skip_activation)
+        theta = _skip_pc_theta(x, s, spec.depth, spec.skip_activation, cols)
     else:
-        theta = _skip_alpha_theta(x, s, spec.depth, spec.skip_activation, spec.alpha)
+        theta = _skip_alpha_theta(x, s, spec.depth, spec.skip_activation, spec.alpha, cols)
+    if cols is not None:
+        return KernelColumns(theta, cols, spec.describe())
     # the recursions are symmetric in exact arithmetic; remove float residue
-    theta = (theta + theta.T) / 2.0
-    return KernelMatrix(theta, spec.describe())
+    return KernelMatrix((theta + theta.T) / 2.0, spec.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +562,10 @@ def load_kernel(path) -> KernelMatrix:
         magic = fh.read(8)
         if magic != _KERNEL_MAGIC:
             raise ValueError(f"{path}: not a kernel file (bad magic {magic!r})")
-        (n,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated header ({len(header)} of 8 size bytes)")
+        (n,) = struct.unpack("<Q", header)
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != n * n:
         raise ValueError(f"{path}: expected {n * n} values, found {data.size}")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import certlab.certify
-from certlab import (CbaParams, CsbmParams, Graph, load_graph, load_kernel, normalize_features,
-                     sample_cba, sample_csbm, save_graph)
+import certlab.cli
+from certlab import (CbaParams, CsbmParams, Graph, KernelColumns, load_graph, load_kernel,
+                     normalize_features, sample_cba, sample_csbm, save_graph)
 from certlab.certify import leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
@@ -484,6 +485,107 @@ class TestOneScanPerUnit:
         assert manifest["error_kinds"] == {"s0|gcn|e0.5": "ConvergenceError"}
         witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
         assert "s0|gcn|e0.2" in witnesses and "s0|gcn|e0.5" not in witnesses
+
+
+# one saturated unit and one unsaturated unit whose column block is not
+# bit-identical to the full kernel's columns (appnp propagates by Horner)
+COLUMN_ARCHS = [{"name": "gcn", "kind": "gcn", "depth": 1, "conv": "row", "C": 0.05},
+                {"name": "appnp", "kind": "appnp", "depth": 1, "conv": "sym", "alpha": 0.1,
+                 "power_k": 6, "C": 1.0}]
+
+
+def column_grid_config(tmp_path, case, out):
+    if case == "multiclass-exact":
+        return dict(multiclass_grid_config(tmp_path, out), architectures=COLUMN_ARCHS)
+    cfg = base_config(tmp_path / out, seeds=[0, 1], architectures=COLUMN_ARCHS)
+    if case == "export":
+        return dict(cfg, epsilons=[0.2], export_model="sample")
+    if case == "export-collective":
+        return dict(cfg, export_model="collective")
+    return dict(cfg, certificate=case)
+
+
+def full_kernel_columns(monkeypatch):
+    """Makes `cli.ntk_analytic` slice its columns out of the full n x n kernel."""
+    original = certlab.cli.ntk_analytic
+
+    def sliced(spec, graph, columns):
+        full = original(spec, graph)
+        return KernelColumns(full.Q[:, columns], columns, full.source)
+
+    monkeypatch.setattr(certlab.cli, "ntk_analytic", sliced)
+
+
+def mps_numbers(path):
+    """The words and the numbers of an MPS file, apart."""
+    words, numbers = [], []
+    for token in open(path).read().split():
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            words.append(token)
+    return words, np.array(numbers)
+
+
+class TestColumnKernels:
+    CASES = ["sample", "collective", "multiclass-exact", "export", "export-collective"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_outputs_match_full_kernel_slices(self, tmp_path, monkeypatch, case):
+        command = "export" if case.startswith("export") else "certify"
+        outs = {}
+        for out in ("columns", "full"):
+            if out == "full":
+                full_kernel_columns(monkeypatch)
+            path = write_config(tmp_path, column_grid_config(tmp_path, case, out), out + ".json")
+            assert main([command, "--config", path]) == 0
+            outs[out] = tmp_path / out
+        a, b = outs["columns"], outs["full"]
+        rows = [[{k: v for k, v in r.items() if k != "runtime_ms"}
+                 for r in csv.DictReader(open(d / "metrics.csv"))] for d in (a, b)]
+        assert rows[0] == rows[1]
+        # an export's witnesses list the files it wrote, under its own directory
+        witnesses = (a / "witnesses.json").read_text().replace(str(a), str(b))
+        assert witnesses == (b / "witnesses.json").read_text()
+        stats = [json.load(open(d / "manifest.json"))["stats"] for d in (a, b)]
+        assert stats[0] == stats[1]
+        records = [json.load(open(d / "per_node.json")) for d in (a, b)]
+        assert len(records[0]) == len(records[1])
+        for ra, rb in zip(*records):
+            worst = ra.pop("worst_objective", None), rb.pop("worst_objective", None)
+            assert ra == rb  # node, flags and witness
+            if worst[0] is not None:
+                assert abs(worst[0] - worst[1]) <= 1e-12 * max(abs(worst[1]), 1.0)
+        if command == "export":
+            files = sorted(os.listdir(a / "exports"))
+            assert files and files == sorted(os.listdir(b / "exports"))
+            for name in (f for f in files if f.endswith(".mps")):
+                (wa, na), (wb, nb) = (mps_numbers(d / "exports" / name) for d in (a, b))
+                assert wa == wb
+                np.testing.assert_allclose(na, nb, rtol=1e-12, atol=1e-12 * np.abs(nb).max())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_unit_holds_a_column_block(self, tmp_path, monkeypatch, case):
+        built, held = [], []
+        ntk_analytic, run_cell = certlab.cli.ntk_analytic, certlab.cli._run_cell
+
+        def recorded_ntk(*args, **kwargs):
+            built.append(ntk_analytic(*args, **kwargs))
+            return built[-1]
+
+        def recorded_cell(config, graph, kernel, *args):
+            held.append((graph.n, graph.labeled.size, kernel))
+            return run_cell(config, graph, kernel, *args)
+
+        monkeypatch.setattr(certlab.cli, "ntk_analytic", recorded_ntk)
+        monkeypatch.setattr(certlab.cli, "_run_cell", recorded_cell)
+        command = "export" if case.startswith("export") else "certify"
+        path = write_config(tmp_path, column_grid_config(tmp_path, case, "out"))
+        assert main([command, "--config", path]) == 0
+        assert len(held) == len(built) > 0
+        for n, m, kernel in held:
+            assert isinstance(kernel, KernelColumns) and kernel.Q.shape == (n, m)
+        assert not any(k.Q.shape == (n, n) for k in built for n, _, _ in held)
 
 
 class TestSubcommands:

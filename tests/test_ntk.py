@@ -5,6 +5,7 @@ from certlab import (
     ArchitectureSpec,
     CsbmParams,
     Graph,
+    KernelColumns,
     KernelMatrix,
     ResourceError,
     SingularPropagationError,
@@ -116,6 +117,75 @@ class TestAnalytic:
             assert kern.Q.shape == (small_csbm.n, small_csbm.n)
             eigs = np.linalg.eigvalsh(kern.Q)
             assert eigs.min() >= -1e-8 * max(np.abs(eigs).max(), 1e-300)
+
+
+def column_spec(kind, depth, conv):
+    if kind == "linear":
+        return ArchitectureSpec("linear")
+    if kind == "mlp":
+        return ArchitectureSpec("mlp", depth)
+    extra = {"ppnp": {"alpha": 0.2}, "appnp": {"alpha": 0.1, "power_k": 6},
+             "skip_alpha": {"alpha": 0.3}}.get(kind, {})
+    return ArchitectureSpec(kind, depth, conv=conv, **extra)
+
+
+# every kind at depth 1 and 2 (linear has no depth) under both convolutions
+COLUMN_CASES = [(kind, depth, mode) for kind in ("mlp", "gcn", "sgc", "ppnp", "appnp",
+                                                 "skip_pc", "skip_alpha")
+                for depth in (1, 2) for mode in ("row", "sym")] + [("linear", None, None)]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("order", ["labeled", "unsorted"])
+    @pytest.mark.parametrize("kind,depth,mode", COLUMN_CASES)
+    def test_block_equals_full_kernel_columns(self, small_csbm, kind, depth, mode, order):
+        # the dense fixture has 20 edges, so every propagation mixes nodes
+        conv = None if mode is None else normalize_adjacency(small_csbm, mode)
+        spec = column_spec(kind, depth, conv)
+        cols = small_csbm.labeled if order == "labeled" else np.array([7, 2, 11, 0, 5])
+        full = ntk_analytic(spec, small_csbm).Q[:, cols]
+        block = ntk_analytic(spec, small_csbm, columns=cols)
+        assert isinstance(block, KernelColumns) and block.Q.shape == (small_csbm.n, cols.size)
+        np.testing.assert_array_equal(block.columns, cols)
+        assert np.abs(block.Q - full).max() <= 1e-12 * np.abs(full).max()
+        # the train block is symmetric bit for bit, as in a KernelMatrix
+        train = block.Q[cols]
+        assert train.tobytes() == train.T.copy().tobytes()
+
+    def test_ppnp_alpha_zero_singular(self, small_csbm, small_conv):
+        with pytest.raises(SingularPropagationError):
+            ntk_analytic(ArchitectureSpec("ppnp", 1, conv=small_conv, alpha=0.0),
+                         small_csbm, columns=small_csbm.labeled)
+
+    def test_rejects_indefinite_or_asymmetric_train_block(self):
+        with pytest.raises(ValueError, match="PSD"):
+            KernelColumns(np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]]), [0, 1], "test")
+        with pytest.raises(ValueError, match="asymmetry"):
+            KernelColumns(np.array([[1.0, 0.5], [0.0, 1.0], [0.5, 0.5]]), [0, 1], "test")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # outside the train block too: the test rows feed the margins
+        q = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            KernelColumns(q, [0, 1], "test")
+
+    def test_rejects_bad_columns(self):
+        q = np.eye(3)[:, :2]
+        with pytest.raises(ValueError, match="node ids"):
+            KernelColumns(q, [0, 1, 2], "test")
+        with pytest.raises(IndexError):
+            KernelColumns(q, [0, 3], "test")
+
+    def test_rows_are_blocks_of_the_full_kernel(self, small_csbm, small_conv):
+        spec = ArchitectureSpec("gcn", 1, conv=small_conv)
+        full = ntk_analytic(spec, small_csbm)
+        lab, unl = small_csbm.labeled, small_csbm.unlabeled
+        block = ntk_analytic(spec, small_csbm, columns=lab)
+        for rows in (lab, unl):
+            np.testing.assert_array_equal(block.Q[rows], kernel_submatrix(full, rows, lab))
+        with pytest.raises(IndexError):
+            ntk_analytic(spec, small_csbm, columns=[0, small_csbm.n])
 
 
 class TestSpecValidation:
@@ -270,4 +340,11 @@ class TestKernelIO:
         path = tmp_path / "bad.knl"
         path.write_bytes(b"NOTAKERN" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_kernel(path)
+
+    @pytest.mark.parametrize("tail", [b"", b"\x01\x00"])
+    def test_truncated_header(self, tmp_path, tail):
+        path = tmp_path / "short.knl"
+        path.write_bytes(b"CLABKRN1" + tail)
+        with pytest.raises(ValueError, match="short.knl: truncated header"):
             load_kernel(path)
