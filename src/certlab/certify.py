@@ -12,32 +12,32 @@ size-ascending lexicographic order.
 In the saturated regime, C * max_i sum_j |Q_ij| < 1 (`svm.saturates`,
 which holds in the paper's small-C setting), every leaf's dual is C * 1
 whatever the labels, so a margin is linear in the labels and each node's
-relabeling moves it by a fixed amount. The sample-wise and both
-multi-class reducers then answer every budget in closed form: one stable
-sort and cumulative sum per test row (per row and class for multi-class)
-picks the at most r largest gains. They walk no leaf and have no capacity
-limit. The collective certificate stays combinatorial and walks.
+relabeling moves it by a fixed amount. A closed form then answers every
+budget with no walk and no capacity limit: one stable sort and cumulative
+sum per row (`_top_gains`) picks the at most r largest gains.
+
+`_extremes` streams, per budget, each row's least p and least -p of one
+binary problem, in closed form or from one walk. `reduce_samples` reads
+one stream through the clean sign, `reduce_multiclass_inexact` the K
+one-vs-all streams (the K problems of `milp.build_multiclass_inexact`).
+`reduce_multiclass_exact` has its own closed form and walks the K scans
+itself: a relabeling's class-c margins are a leaf of the class-c scan.
+`reduce_collective` always walks.
 
 The walk, `_scan_flips`, yields the margins of every test row for each
 binary flip set in size-ascending lexicographic order, each leaf
-warm-started from its parent. The multi-class reducers run it once per
-one-vs-all class; a multi-class relabeling's class-c margins are a leaf
-of the class-c scan, so the exact reducer solves no QP of its own. No
-leaf depends on the test node or the budget, and a smaller budget's
-leaves are a prefix of the walk, so a walking reducer yields each
-budget's snapshot within the capacity limit as soon as the walk completes
-it, then raises the CapacityError of the first budget past it.
+warm-started from its parent. No leaf depends on the test node or the
+budget, and a smaller budget's leaves are a prefix of the walk, so a walk
+yields each budget's snapshot within the capacity limit as soon as it
+completes it, then raises the CapacityError of the first budget past it.
 
 Each reducer validates its `SvmProblem` up front. A saturated collective
 walk solves no leaf QP: each leaf costs one `margins` product. Otherwise
-the clean leaf is a cold coordinate descent and every other leaf's dual a
-`solve_active_set` step guessed from its parent's dual: a direct solve of
-the free block, accepted only if it passes coordinate descent's own
-stopping test on a fresh gradient. When no guess verifies within a few
-rounds, or the free block is singular, the leaf falls back to coordinate
-descent warm-started from the parent. A `ScanStats` passed to a reducer
-counts the leaves, the verified ones, the fallbacks and the certificates
-answered in closed form.
+each leaf's dual is one `_solve_leaf`: an active-set guess from its
+parent's dual that passes coordinate descent's own stopping test, or else
+coordinate descent. A `ScanStats` passed to a reducer counts the leaves,
+the verified ones, the fallbacks and the certificates answered in closed
+form.
 
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
@@ -197,13 +197,6 @@ def _certificates(test_ids, worst, witness):
             for i, t in enumerate(test_ids)]
 
 
-def _closed_form(test_ids, answers, stats):
-    """The certificate list of each (worst, witness) a closed form answers."""
-    for worst, witness in answers:
-        stats.closed_form_rows += len(test_ids)
-        yield _certificates(test_ids, worst, witness)
-
-
 def _top_gains(gains, rs):
     """Yield, per r in rs, each row's sum of its at most r largest positive
     gains and their columns as a sorted tuple.
@@ -274,40 +267,53 @@ def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats=None, saturated=False
         prev = cur
 
 
+def _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats):
+    """Yield the clean margins p of the T Qcross rows and whether `problem` (a
+    validated SvmProblem) saturates, then per r in rs the least of each entry
+    of [p, -p] over the flip sets of size <= r and its first minimizer in
+    size-ascending lexicographic order (entry t: row t's least p, T + t: its
+    least -p). Saturated, flipping y_i lowers p_t by g_ti = 2C y_i Q_ti
+    whatever else flips: both sides are closed forms over g and -g, and `cap`
+    does not apply. Otherwise one walk keeps the running minima and raises
+    the CapacityError of the first budget past `cap`."""
+    if saturates(problem.Qtrain, problem.C):
+        p = margins(np.full(problem.m, problem.C), problem.y, Qcross)
+        yield p, True
+        gains = 2.0 * problem.C * problem.y * Qcross
+        for rise, witness in _top_gains(np.vstack([gains, -gains]), rs):
+            yield np.concatenate([p, -p]) - rise, witness
+        return
+    ends, r, over = _budget_ends(rs, problem.m, 2, cap)
+    least, witness = np.full(2 * len(Qcross), math.inf), [()] * (2 * len(Qcross))
+    for n, (flips, p) in enumerate(_scan_flips(problem, Qcross, r, tol, max_sweeps, stats), 1):
+        if n == 1:
+            yield p, False
+        least = _improve(least, np.concatenate([p, -p]), witness, flips)
+        for _ in range(ends[n]):
+            yield least, witness
+    if over:
+        raise over
+
+
 def reduce_samples(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
                    stats=None):
-    """Per budget, the SampleCertificate list of the Qcross rows (see certify_sample).
-
-    Saturated, flipping y_i lowers sign(p_hat_t) * p_t by
-    g_ti = 2C sign(p_hat_t) y_i Q_ti whatever else flips, so the worst case
-    flips the at most r largest positive gains: every budget is answered in
-    closed form and `cap` does not apply. Otherwise the flip walk keeps each
-    row's running minimum. Every reducer counts into `stats`, if given.
-    """
+    """Per budget, the SampleCertificate list of the Qcross rows (see
+    certify_sample): the worst sign(p_hat_t) * p_t is the least p_t of
+    `_extremes` for a positive clean sign and the least -p_t for a negative
+    one. Every reducer counts into `stats`, if given."""
     Qcross, test_ids = _test_rows(Qcross, test_ids)
     rs, problem = _budget_rs(budgets), SvmProblem(Qtrain, y, C)
     stats = ScanStats() if stats is None else stats
-    if saturates(problem.Qtrain, C):
-        p = margins(np.full(problem.m, C), problem.y, Qcross)
-        yield p
-        sign = np.sign(p)
-        gains = 2.0 * C * sign[:, None] * problem.y * Qcross
-        yield from _closed_form(test_ids, ((sign * p - total, witness) for total, witness
-                                           in _top_gains(gains, rs)), stats)
-        return
-    ends, r, over = _budget_ends(rs, problem.m, 2, cap)
-    best, witness = np.full(len(test_ids), math.inf), [()] * len(test_ids)
-    leaves = _scan_flips(problem, Qcross, r, tol, max_sweeps, stats)
-    for n, (flips, p) in enumerate(leaves, 1):
-        if n == 1:
-            sign = np.sign(p)
-            yield p
-        best = _improve(best, sign * p, witness, flips)
-        for _ in range(ends[n]):
-            # an undefined clean sign has no worst case above 0
-            yield _certificates(test_ids, np.where(sign == 0.0, 0.0, best), witness)
-    if over:
-        raise over
+    stream = _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats)
+    p, saturated = next(stream)
+    yield p
+    sign = np.sign(p)
+    side = np.arange(p.size) + p.size * (sign < 0.0)
+    for least, witness in stream:
+        stats.closed_form_rows += len(test_ids) if saturated else 0
+        # an undefined clean sign has no worst case above 0
+        yield _certificates(test_ids, np.where(sign == 0.0, 0.0, least[side]),
+                            [witness[i] if s else () for i, s in zip(side, sign)])
 
 
 def reduce_collective(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
@@ -374,11 +380,6 @@ def _class_problems(Qtrain, labels, num_classes, C):
     """The K validated one-vs-all problems, class c at index c - 1."""
     return [SvmProblem(Qtrain, one_vs_all_split(labels, c), C)
             for c in range(1, num_classes + 1)]
-
-
-def _pinned_margins(problems, Qcross):
-    """P[c - 1], the class-c margins of the saturated dual C * 1."""
-    return np.array([margins(np.full(p.m, p.C), p.y, Qcross) for p in problems])
 
 
 def _relabeling_margins(labels, scans, r):
@@ -449,9 +450,11 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
     rs, problems = _budget_rs(budgets), _class_problems(Qtrain, labels, num_classes, C)
     stats = ScanStats() if stats is None else stats
     if saturates(problems[0].Qtrain, C):
-        P = _pinned_margins(problems, Qcross)
+        P = np.array([margins(np.full(p.m, p.C), p.y, Qcross) for p in problems])
         yield P
-        yield from _closed_form(test_ids, _closed_exact(P, labels, C, Qcross, rs), stats)
+        for worst, witness in _closed_exact(P, labels, C, Qcross, rs):
+            stats.closed_form_rows += len(test_ids)
+            yield _certificates(test_ids, worst, witness)
         return
     ends, r, over = _budget_ends(rs, labels.size, num_classes, cap)
     scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
@@ -471,41 +474,23 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
 def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,
                               *, cap, tol, max_sweeps, stats=None):
     """Relaxed multi-class certificates of every Qcross row (see
-    certify_multiclass_inexact). Saturated, flipping node i lowers p_c by
-    2C y^c_i Q_ti, so the lowest p_chat and the highest other p_c each take
-    the binary closed form and `cap` does not apply. Otherwise the K
-    one-vs-all scans run in lockstep."""
+    certify_multiclass_inexact): per budget, the least p_chat of the chat
+    problem's `_extremes` minus the largest other p_c, the negated least -p_c
+    of its own problem; saturated, `cap` does not apply."""
     Qcross, test_ids = _test_rows(Qcross, test_ids, num_classes)
     labels = np.asarray(labels, dtype=np.int64)
     rs, problems = _budget_rs(budgets), _class_problems(Qtrain, labels, num_classes, C)
     stats = ScanStats() if stats is None else stats
-    rows = np.arange(len(test_ids))
-    if saturates(problems[0].Qtrain, C):
-        P = _pinned_margins(problems, Qcross)
-        yield P
-        c_hat = np.argmax(P, axis=0)
-        falls = 2.0 * C * np.array([p.y for p in problems])[:, None, :] * Qcross
-        lows = _top_gains(falls[c_hat, rows], rs)
-        highs = _top_gains(-falls.reshape(-1, labels.size), rs)
-        yield from _closed_form(test_ids, (
-            (P[c_hat, rows] - low - _runner_up(P + high.reshape(P.shape), c_hat), witness)
-            for (low, witness), (high, _) in zip(lows, highs)), stats)
-        return
-    ends, r, over = _budget_ends(rs, labels.size, 2, cap)
-    scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
-    low, witness = np.full(rows.size, math.inf), [()] * rows.size
-    high = np.full((num_classes, rows.size), -math.inf)
-    for n, leaves in enumerate(zip(*scans), 1):
-        P = np.array([p for _, p in leaves])
-        if n == 1:
-            c_hat = np.argmax(P, axis=0)
-            yield P
-        low = _improve(low, P[c_hat, rows], witness, leaves[0][0])
-        high = np.where(P > high, P, high)
-        for _ in range(ends[n]):
-            yield _certificates(test_ids, low - _runner_up(high, c_hat), witness)
-    if over:
-        raise over
+    streams = [_extremes(p, Qcross, rs, cap, tol, max_sweeps, stats) for p in problems]
+    clean = [next(stream) for stream in streams]
+    P, saturated = np.array([p for p, _ in clean]), clean[0][1]
+    yield P
+    T, c_hat = len(test_ids), np.argmax(P, axis=0)
+    for extremes in zip(*streams):
+        stats.closed_form_rows += T if saturated else 0
+        least = np.array([e for e, _ in extremes])
+        worst = least[c_hat, np.arange(T)] - _runner_up(-least[:, T:], c_hat)
+        yield _certificates(test_ids, worst, [extremes[c][1][t] for t, c in enumerate(c_hat)])
 
 
 def certify_multiclass_exact(Qtrain, Qcross_t, labels, num_classes, C,

@@ -69,18 +69,27 @@ def worker_count() -> int:
     return 1
 
 
+def _integer(value) -> int:
+    """The converter of every integer field: 10.0, 1.7, true or "3" is a TypeError."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 # config fields with a dataclass default, and how a JSON value converts to them
-OPTIONAL_FIELDS = {"capacity": int, "tol": float, "max_sweeps": int, "export_model": str,
-                   "widths": tuple, "nt_samples": int, "threshold": float, "width_seed": int}
+OPTIONAL_FIELDS = {"capacity": _integer, "tol": float, "max_sweeps": _integer,
+                   "export_model": str, "widths": lambda w: tuple(map(_integer, w)),
+                   "nt_samples": _integer, "threshold": float, "width_seed": _integer}
 # the same for the dataset keys of each generator, and the architecture keys
 # of ArchitectureSpec; a key the config leaves out keeps the dataclass default
-_GRAPH_FIELDS = {"n": int, "sigma": float, "signal_scale": float, "labeled_per_class": int}
+_GRAPH_FIELDS = {"n": _integer, "sigma": float, "signal_scale": float,
+                 "labeled_per_class": _integer}
 GENERATORS = {
     "csbm": (sample_csbm, CsbmParams, dict(_GRAPH_FIELDS, p=float, q=float)),
-    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=int,
+    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=_integer,
                                         affinity=lambda w: tuple(map(tuple, w)))),
 }
-ARCH_FIELDS = {"depth": int, "alpha": None, "power_k": None, "skip_activation": None,
+ARCH_FIELDS = {"depth": _integer, "alpha": None, "power_k": _integer, "skip_activation": None,
                "activation": None}
 
 
@@ -122,7 +131,7 @@ class ExperimentConfig:
                 epsilons=[float(e) for e in doc["epsilons"]],
                 certificate=doc.get("certificate", "sample"),
                 test_nodes=doc.get("test_nodes", "all-unlabeled"),
-                seeds=[int(s) for s in doc.get("seeds", [0])],
+                seeds=[_integer(s) for s in doc.get("seeds", [0])],
                 output_dir=doc.get("output_dir", "certlab_out"),
                 replay_timings=timings,
                 **_given(doc, OPTIONAL_FIELDS),
@@ -171,18 +180,18 @@ class ExperimentConfig:
             if self.test_nodes != "all-unlabeled":
                 raise ConfigError("test_nodes must be 'all-unlabeled' or a sample spec")
         elif not (isinstance(self.test_nodes, dict)
-                  and isinstance(self.test_nodes.get("sample"), int)
-                  and self.test_nodes["sample"] >= 1
-                  and isinstance(self.test_nodes.get("seed", 0), int)):
+                  and _integer(self.test_nodes.get("sample")) >= 1):
             raise ConfigError("test_nodes must be 'all-unlabeled' or {'sample': k, 'seed': s} "
                               "with integers k >= 1 and s")
+        else:
+            _integer(self.test_nodes.get("seed", 0))
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds repeat a value")
         if min(self.seeds) < 0 or self.width_seed < 0:
             raise ConfigError("seeds and width_seed must be non-negative")
-        if not self.widths or any(not isinstance(w, int) or w < 8 for w in self.widths):
+        if not self.widths or min(self.widths) < 8:
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
             raise ConfigError("nt_samples must be at least 1")
@@ -256,11 +265,10 @@ def select_test_nodes(config: ExperimentConfig, graph: Graph, seed: int) -> np.n
         raise ConfigError("the graph has no unlabeled node to certify")
     if isinstance(config.test_nodes, str):
         return unl
-    k = int(config.test_nodes["sample"])
-    sample_seed = int(config.test_nodes.get("seed", 0))
+    k = config.test_nodes["sample"]
     if k > unl.size:
         raise ConfigError(f"cannot sample {k} test nodes from {unl.size} unlabeled")
-    rng = np.random.Generator(np.random.Philox(key=[sample_seed, seed]))
+    rng = np.random.Generator(np.random.Philox(key=[config.test_nodes.get("seed", 0), seed]))
     return np.sort(rng.choice(unl, size=k, replace=False))
 
 
@@ -469,10 +477,14 @@ def report(output_dir: str) -> dict:
     consecutive-epsilon certified-ratio deltas)."""
     # (arch, kind) -> epsilon -> one [ratio, accuracy, clean accuracy] per seed
     groups: dict[tuple, dict[float, list]] = {}
-    with open(os.path.join(output_dir, "metrics.csv")) as fh:
-        for rec in csv.DictReader(fh):
-            groups.setdefault((rec["arch"], rec["kind"]), {}).setdefault(
-                float(rec["epsilon"]), []).append([float(rec[field]) for field in SCIENCE_FIELDS])
+    path = os.path.join(output_dir, "metrics.csv")
+    try:
+        with open(path) as fh:
+            for rec in csv.DictReader(fh):
+                groups.setdefault((rec["arch"], rec["kind"]), {}).setdefault(
+                    float(rec["epsilon"]), []).append([float(rec[f]) for f in SCIENCE_FIELDS])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc!r}") from exc
 
     curve_fields = ["arch", "kind", "epsilon", *(f"{stat}_{field}" for field in SCIENCE_FIELDS
                                                  for stat in ("mean", "std"))]
@@ -508,13 +520,13 @@ def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
         scale = np.linalg.norm(reference)
         errors = []
         for width in config.widths:
-            emp = ntk_empirical(spec, graph, int(width), config.nt_samples,
+            emp = ntk_empirical(spec, graph, width, config.nt_samples,
                                 seed=config.width_seed).Q
             errors.append(float(np.linalg.norm(emp - reference) / scale))
         passed = errors[-1] <= config.threshold
         all_pass &= passed
         for width, err in zip(config.widths, errors):
-            rows.append({"arch": name, "width": int(width),
+            rows.append({"arch": name, "width": width,
                          "rel_frobenius_error": err, "passed": passed})
     os.makedirs(config.output_dir, exist_ok=True)
     out = _dump_csv([dict(r, passed=int(r["passed"])) for r in rows], list(rows[0]),
@@ -563,14 +575,16 @@ def main(argv=None) -> int:
         if args.command == "ntk":
             seeds, archs, _ = config.select(seed_filter, arch_filter)
             graphs = [(seed, make_graph(config, seed)) for seed in seeds]
+            # every spec is built first: a config error leaves no output directory behind
+            specs = [(seed, graph, name, make_arch_spec(arch, graph))
+                     for seed, graph in graphs for name, arch in archs]
             os.makedirs(config.output_dir, exist_ok=True)
-            for seed, graph in graphs:
-                for name, arch in archs:
-                    kernel = ntk_analytic(make_arch_spec(arch, graph), graph)
-                    path = os.path.join(config.output_dir, f"kernel_seed{seed}_{name}.knl")
-                    save_kernel(kernel, path)
-                    kernel_to_csv(kernel, path.replace(".knl", ".csv"))
-                    print(path)
+            for seed, graph, name, spec in specs:
+                kernel = ntk_analytic(spec, graph)
+                path = os.path.join(config.output_dir, f"kernel_seed{seed}_{name}.knl")
+                save_kernel(kernel, path)
+                kernel_to_csv(kernel, path.replace(".knl", ".csv"))
+                print(path)
             return 0
 
         if args.command in ("certify", "export"):

@@ -103,6 +103,22 @@ class TestConfig:
         {"architectures": [{"name": "../gcn", "kind": "gcn", "C": 0.05}]},
         {"architectures": [{"name": "g\\cn", "kind": "gcn", "C": 0.05}]},
         {"tol": float("inf")},  # one sweep and any in-box guess would pass
+        # an integer field takes a JSON integer only: never truncated, never a boolean
+        {"seeds": [0.5]},
+        {"seeds": [True]},
+        {"seeds": ["0"]},
+        {"capacity": 10.0},
+        {"capacity": True},
+        {"max_sweeps": 2.5},
+        {"nt_samples": 20.0},
+        {"width_seed": 0.0},
+        {"width_seed": False},
+        {"widths": [256.0]},
+        {"widths": [256, 1024.5]},
+        {"test_nodes": {"sample": True}},
+        {"test_nodes": {"sample": 2.0}},
+        {"test_nodes": {"sample": 2, "seed": 1.5}},
+        {"test_nodes": {"sample": 2, "seed": True}},
     ])
     def test_malformed_grid_inputs(self, tmp_path, override):
         with pytest.raises(ConfigError):
@@ -113,11 +129,17 @@ class TestConfig:
         {"kind": "foo"},
         {"kind": "gcn", "depth": 0},
         {"kind": "appnp", "depth": 1},  # no alpha
+        {"kind": "gcn", "depth": 1.7},
+        {"kind": "gcn", "depth": 1.0},
+        {"kind": "gcn", "depth": True},
+        {"kind": "appnp", "alpha": 0.1, "power_k": 10.0},
+        {"kind": "appnp", "alpha": 0.1, "power_k": True},
     ])
     def test_malformed_architecture_is_config_error(self, tmp_path, capsys, command, arch):
         cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: invalid architecture" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["certify", "ntk", "validate-ntk"])
     @pytest.mark.parametrize("dataset", [
@@ -130,8 +152,12 @@ class TestConfig:
         {"kind": "file", "path": "no_such_graph.json"},
         {"kind": "file", "path": "truncated_graph.json"},
         {"kind": "file"},  # no path
+        {"kind": "csbm", "n": 24.0},
+        {"kind": "csbm", "n": 24, "labeled_per_class": 3.5},
+        {"kind": "csbm", "n": 24, "labeled_per_class": True},
+        {"kind": "cba", "n": 24, "deg": 2.0},
     ], ids=["no-n", "n1", "labeled", "deg", "sigma", "n-type", "no-file", "bad-file",
-            "no-path"])
+            "no-path", "n-float", "labeled-float", "labeled-bool", "deg-float"])
     def test_malformed_dataset_is_config_error(self, tmp_path, monkeypatch, capsys, command,
                                                dataset):
         monkeypatch.chdir(tmp_path)
@@ -375,12 +401,15 @@ class TestOneScanPerUnit:
         replay = run(ExperimentConfig.from_dict(json.load(open(bundle.manifest_path))))
         assert open(replay.manifest_path, "rb").read() == first
 
-    def test_multiclass_convergence_error_keeps_smaller_budget(self, tmp_path, monkeypatch):
-        clean = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path, "clean")))
+    @pytest.mark.parametrize("kind", ["multiclass-exact", "multiclass-inexact"])
+    def test_multiclass_convergence_error_keeps_smaller_budget(self, tmp_path, monkeypatch,
+                                                               kind):
+        clean = run(ExperimentConfig.from_dict(
+            dict(multiclass_grid_config(tmp_path, "clean"), certificate=kind)))
         # the scans read their 3 clean leaves and 3 * 6 leaves of size 1 before
         # the first size-2 leaf, which belongs to the eps=0.34 budget (r=2)
         count_solves(monkeypatch, fail_at=3 + 3 * 6 + 1)
-        path = write_config(tmp_path, multiclass_grid_config(tmp_path))
+        path = write_config(tmp_path, dict(multiclass_grid_config(tmp_path), certificate=kind))
         assert main(["certify", "--config", path]) == 1
         with open(tmp_path / "out" / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -717,3 +746,24 @@ class TestReport:
         assert main(["certify", "--config", path]) == 0
         assert main(["report", "--config", path]) == 0
         assert (tmp_path / "out" / "plateau_deltas.csv").exists()
+
+    def test_bundle_without_metrics_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["report", "--config", path]) == 2
+        metrics_path = os.path.join(str(tmp_path / "out"), "metrics.csv")
+        assert f"config error: {metrics_path}: FileNotFoundError" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", seeds=[0])
+        path = write_config(tmp_path, cfg)
+        assert main(["certify", "--config", path]) == 0
+        metrics_path = tmp_path / "out" / "metrics.csv"
+        lines = metrics_path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:4] + ["abc"] + lines[1].split(",")[5:])
+        metrics_path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {metrics_path}: ValueError" in err and "'abc'" in err
+        assert not (tmp_path / "out" / "plateau_deltas.csv").exists()
