@@ -71,12 +71,14 @@ from .milp import (  # noqa: E402
     MarginBounds,
     MilpModel,
     Objective,
+    SamplewiseBlock,
     Variable,
     big_m,
     build_collective,
     build_multiclass,
     build_multiclass_inexact,
     build_samplewise,
+    build_samplewise_node,
     collective_witness_point,
     evaluate_model,
     margin_bounds,

@@ -52,7 +52,8 @@ from .graph import (
     sample_csbm,
     save_graph,
 )
-from .milp import build_collective, build_samplewise, write_lp, write_mps
+from .milp import (SamplewiseBlock, build_collective, build_samplewise_node, write_lp,
+                   write_mps)
 from .ntk import ArchitectureSpec, kernel_to_csv, ntk_analytic, ntk_empirical, save_kernel
 from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
@@ -197,6 +198,10 @@ class ExperimentConfig:
             raise ConfigError("nt_samples must be at least 1")
         if self.max_sweeps < 1 or not 0.0 < self.tol < math.inf:  # NaN fails too
             raise ConfigError("solver settings need max_sweeps >= 1 and a finite tol > 0")
+        if self.capacity < 1:
+            raise ConfigError("capacity must be at least 1 leaf")
+        if not 0.0 <= self.threshold < math.inf:  # NaN fails too
+            raise ConfigError("threshold must be finite and >= 0")
 
     def arch_name(self, index: int) -> str:
         return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
@@ -389,11 +394,12 @@ def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind,
             write_lp(model, base + ".lp")
             written.append(base + ".mps")
         else:
+            block = SamplewiseBlock(Qtrain, y, C, eps)  # every node's model shares it
             for row_idx, t in enumerate(test):
                 if phat[row_idx] == 0.0:
                     continue  # non-robust by convention; nothing to solve
-                model = build_samplewise(Qtrain, Qcross[row_idx], y, C, eps,
-                                         int(np.sign(phat[row_idx])), node=int(t))
+                model = build_samplewise_node(block, Qcross[row_idx],
+                                              int(np.sign(phat[row_idx])), node=int(t))
                 base = os.path.join(export_dir, f"sample_s{seed}_{name}_e{eps}_n{t}")
                 write_mps(model, base + ".mps")
                 written.append(base + ".mps")

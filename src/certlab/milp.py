@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,26 +69,78 @@ class Objective:
                            tuple((float(c), str(v)) for c, v in self.terms))
 
 
+class _Body:
+    """A model's variables and constraints, checked once: names are unique
+    and every constraint term names a declared variable.
+
+    `mps` renders their MPS text, less the objective, on first use: ROWS,
+    RHS and BOUNDS as one string each, and COLUMNS as one (name, marker,
+    entries) triple per variable, with the MARKER line that opens or
+    closes an integer run before it and its constraint coefficients, then
+    the closing INTEND marker. Models built on one `SamplewiseBlock` share
+    one body, so the check and the text happen once for all of them.
+    """
+
+    def __init__(self, variables: tuple, constraints: tuple):
+        names = [v.name for v in variables]
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be unique")
+        self.declared = set(names)
+        for con in constraints:
+            for _, v in con.terms:
+                if v not in self.declared:
+                    raise ValueError(f"constraint {con.name} references undeclared {v}")
+        self.variables, self.constraints = variables, constraints
+
+    @cached_property
+    def mps(self):
+        sense_tag = {"<=": "L", ">=": "G", "=": "E"}
+        by_var: dict[str, list[str]] = {v.name: [] for v in self.variables}
+        for con in self.constraints:
+            for c, v in con.terms:
+                by_var[v].append(f"    {v}  {con.name}  {_num(c)}\n")
+        rows = "".join(f" {sense_tag[con.sense]}  {con.name}\n" for con in self.constraints)
+        columns, marker, in_int = [], 0, False
+        for v in self.variables:
+            opens = ""
+            if (v.kind == "binary") != in_int:
+                marker += 1
+                in_int = not in_int
+                opens = f"    M{marker}  'MARKER'  '{'INTORG' if in_int else 'INTEND'}'\n"
+            columns.append((v.name, opens, "".join(by_var[v.name])))
+        close = f"    M{marker + 1}  'MARKER'  'INTEND'\n" if in_int else ""
+        rhs = "".join(f"    RHS  {con.name}  {_num(con.rhs)}\n"
+                      for con in self.constraints if con.rhs != 0.0)
+        bounds = []
+        for v in self.variables:
+            if v.kind == "binary":
+                bounds.append(f" UP BND  {v.name}  1\n")
+                continue
+            if v.lower != 0.0:
+                bounds.append(f" LO BND  {v.name}  {_num(v.lower)}\n")
+            if v.upper != INF:
+                bounds.append(f" UP BND  {v.name}  {_num(v.upper)}\n")
+        return rows, columns, close, rhs, "".join(bounds)
+
+
 @dataclass(frozen=True)
 class MilpModel:
+    """A MILP. `body` holds its checked variables and constraints and their
+    MPS text; models that differ only in objective and metadata share it."""
+
     variables: tuple
     constraints: tuple
     objective: Objective
     metadata: dict = field(compare=False)
+    body: _Body | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
-        declared = set(names)
-        for con in self.constraints:
-            for _, v in con.terms:
-                if v not in declared:
-                    raise ValueError(f"constraint {con.name} references undeclared {v}")
+        if self.body is None:
+            object.__setattr__(self, "body", _Body(self.variables, self.constraints))
         for _, v in self.objective.terms:
-            if v not in declared:
+            if v not in self.body.declared:
                 raise ValueError(f"objective references undeclared {v}")
 
     @property
@@ -225,6 +278,47 @@ def _samplewise_block(b: _Builder, Q, y, C, r, prefix=""):
         b.con(f"bmt{p}_{i}", [(1.0, f"a{p}_{i}"), (-C, f"tt{p}_{i}")], ">=", 0.0)
 
 
+class SamplewiseBlock:
+    """The sample-wise MILP of one (Qtrain, y, C, epsilon), without its
+    objective.
+
+    Its variables and constraints (the m^2 linearization included) do not
+    depend on the test node, so every node's model is this block plus its
+    own objective and metadata. They are built and checked on the first
+    `build_samplewise_node`, and their MPS text is rendered on the first
+    `write_mps`, once for all of the block's models.
+    """
+
+    def __init__(self, Qtrain, y, C, epsilon):
+        self.Qtrain = np.asarray(Qtrain, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
+        self.C, self.epsilon = C, float(epsilon)
+        self.r = Budget(epsilon, self.y.size).r
+
+    @cached_property
+    def body(self) -> _Body:
+        b = _Builder()
+        _samplewise_block(b, self.Qtrain, self.y, self.C, self.r)
+        return _Body(tuple(b.variables), tuple(b.constraints))
+
+
+def build_samplewise_node(block: SamplewiseBlock, Qcross_t, sign_phat,
+                          node: int | None = None) -> MilpModel:
+    """The sample-wise MILP of one test node on a shared block:
+    min sign(p_hat) sum_i z_i Q_ti."""
+    qrow = np.asarray(Qcross_t, dtype=np.float64).reshape(-1)
+    if sign_phat not in (1, -1, 1.0, -1.0):
+        raise ValueError("sign_phat must be +1 or -1")
+    m, r = block.y.size, block.r
+    objective = Objective("min", [(float(sign_phat) * float(qrow[i]), f"z_{i}")
+                                  for i in range(m) if qrow[i] != 0.0])
+    meta = {"kind": "samplewise", "node": node, "epsilon": block.epsilon,
+            "C": float(block.C), "m": m, "budget": r, "budget_zero": r == 0,
+            "sign_phat": int(sign_phat)}
+    body = block.body
+    return MilpModel(body.variables, body.constraints, objective, meta, body)
+
+
 def build_samplewise(Qtrain, Qcross_t, y, C, epsilon, sign_phat,
                      node: int | None = None) -> MilpModel:
     """Sample-wise certification MILP: min sign(p_hat) sum_i z_i Q_ti.
@@ -232,21 +326,8 @@ def build_samplewise(Qtrain, Qcross_t, y, C, epsilon, sign_phat,
     The prediction for the node is robust iff the optimum is > 0. The
     model has exactly 3m binaries (label, lower- and upper-face ones).
     """
-    y = np.asarray(y, dtype=np.float64)
-    Qtrain = np.asarray(Qtrain, dtype=np.float64)
-    qrow = np.asarray(Qcross_t, dtype=np.float64).reshape(-1)
-    if sign_phat not in (1, -1, 1.0, -1.0):
-        raise ValueError("sign_phat must be +1 or -1")
-    m = y.size
-    r = Budget(epsilon, m).r
-    b = _Builder()
-    _samplewise_block(b, Qtrain, y, C, r)
-    objective = Objective("min", [(float(sign_phat) * float(qrow[i]), f"z_{i}")
-                                  for i in range(m) if qrow[i] != 0.0])
-    meta = {"kind": "samplewise", "node": node, "epsilon": float(epsilon),
-            "C": float(C), "m": m, "budget": r, "budget_zero": r == 0,
-            "sign_phat": int(sign_phat)}
-    return MilpModel(b.variables, b.constraints, objective, meta)
+    return build_samplewise_node(SamplewiseBlock(Qtrain, y, C, epsilon), Qcross_t,
+                                 sign_phat, node)
 
 
 def build_collective(Qtrain, Qcross, y, C, epsilon, phat,
@@ -367,7 +448,8 @@ def build_multiclass_inexact(Qtrain, Qcross_t, labels, num_classes, C, epsilon,
         meta = dict(model.metadata)
         meta.update({"kind": "multiclass-inexact", "class": c,
                      "c_hat": int(c_hat), "direction": sense})
-        models.append(MilpModel(model.variables, model.constraints, objective, meta))
+        models.append(MilpModel(model.variables, model.constraints, objective, meta,
+                                model.body))
     return models
 
 
@@ -482,55 +564,23 @@ def _write_sidecar(model: MilpModel, path) -> None:
 
 
 def write_mps(model: MilpModel, path) -> None:
-    """Free-format MPS; binaries are wrapped in MARKER INTORG/INTEND runs."""
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    by_var: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
+    """Free-format MPS; binaries are wrapped in MARKER INTORG/INTEND runs.
+    Only the objective's lines are rendered here; the rest is the text of
+    the model's `body`."""
+    rows, columns, close, rhs, bounds = model.body.mps
+    objective: dict[str, str] = {}
     for c, v in model.objective.terms:
-        by_var[v].append(("OBJ", c))
-    for con in model.constraints:
-        for c, v in con.terms:
-            by_var[v].append((con.name, c))
-    lines = [f"NAME {model.metadata.get('kind', 'certlab')}"]
+        objective[v] = objective.get(v, "") + f"    {v}  OBJ  {_num(c)}\n"
+    parts = [f"NAME {model.metadata.get('kind', 'certlab')}\n"]
     if model.objective.sense == "max":
-        lines += ["OBJSENSE", "    MAX"]
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    for con in model.constraints:
-        lines.append(f" {sense_tag[con.sense]}  {con.name}")
-    lines.append("COLUMNS")
-    marker = 0
-    in_int = False
-    for v in model.variables:
-        if v.kind == "binary" and not in_int:
-            marker += 1
-            lines.append(f"    M{marker}  'MARKER'  'INTORG'")
-            in_int = True
-        elif v.kind != "binary" and in_int:
-            marker += 1
-            lines.append(f"    M{marker}  'MARKER'  'INTEND'")
-            in_int = False
-        entries = by_var[v.name] or [("OBJ", 0.0)]
-        for row, coef in entries:
-            lines.append(f"    {v.name}  {row}  {_num(coef)}")
-    if in_int:
-        marker += 1
-        lines.append(f"    M{marker}  'MARKER'  'INTEND'")
-    lines.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(f"    RHS  {con.name}  {_num(con.rhs)}")
-    lines.append("BOUNDS")
-    for v in model.variables:
-        if v.kind == "binary":
-            lines.append(f" UP BND  {v.name}  1")
-            continue
-        if v.lower != 0.0:
-            lines.append(f" LO BND  {v.name}  {_num(v.lower)}")
-        if v.upper != INF:
-            lines.append(f" UP BND  {v.name}  {_num(v.upper)}")
-    lines.append("ENDATA")
+        parts.append("OBJSENSE\n    MAX\n")
+    parts += ["ROWS\n N  OBJ\n", rows, "COLUMNS\n"]
+    for name, opens, entries in columns:
+        entries = objective.get(name, "") + entries
+        parts += [opens, entries or f"    {name}  OBJ  0.0\n"]
+    parts += [close, "RHS\n", rhs, "BOUNDS\n", bounds, "ENDATA\n"]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
     _write_sidecar(model, path)
 
 

@@ -5,7 +5,14 @@ the same kernel by Monte Carlo over finite-width initializations, and is
 the ground truth the analytic recursions are validated against. Each
 architecture's sampler runs its own forward pass and records, per layer,
 the layer input and the local derivative; one hand-written reverse-mode
-pass (`_backprop`) turns those records into the draw's kernel.
+pass (`_backprop`) turns those records into the draw's kernel. Its
+einsums follow contraction paths planned once per `ntk_empirical` call.
+
+Nothing is pulled back through the first hidden layer, so the skip
+variants draw that layer's output A W / sqrt(width), not its width x width
+weights W: as (U S) Z / sqrt(width), from the thin SVD A = U S V^T and a
+min(n, width) x width standard normal Z. V^T W is standard normal by the
+rotation invariance of W, so the draw is exact in distribution.
 
 Certification reads only the kernel's columns over the labeled nodes:
 K[labeled, labeled] for the dual and K[test, labeled] for the margins. So
@@ -424,7 +431,19 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
 # Empirical kernels (Monte Carlo over finite-width initializations)
 # ---------------------------------------------------------------------------
 
-def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
+def _einsum(plans: dict, subscripts: str, *operands) -> np.ndarray:
+    """np.einsum along its greedy contraction path, planned once per
+    subscripts and operand shapes and kept in `plans`. `optimize=True` is
+    the greedy planner, so the contraction order, and every bit of the
+    result, is the same as planning on each call."""
+    key = (subscripts, *(op.shape for op in operands))
+    path = plans.get(key)
+    if path is None:
+        path = plans[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     """sum_l <grad_i W_l, grad_j W_l> of one draw, by reverse mode.
 
     Layer l computes P_l = A_l W_l / sqrt(fan), with A_l = `inputs[l]` and
@@ -433,7 +452,9 @@ def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     times `derivs[l - 1]`, the local derivative of A_l in P_(l-1): an
     array, or a scalar. Each layer's term contracts through
     G = A A^T / fan without materializing the per-parameter Jacobian.
-    `out_seed` seeds the output gradient in place of the identity.
+    Nothing is pulled back through layer 0, so `weights[0]` is never
+    read. `out_seed` seeds the output gradient in place of the identity;
+    `plans` holds the einsum paths (see `_einsum`).
     """
     n = inputs[0].shape[0]
     d = np.eye(n)[:, :, None] if out_seed is None else out_seed[:, :, None]
@@ -441,15 +462,15 @@ def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     for l in range(len(inputs) - 1, -1, -1):
         a = inputs[l]
         fan = a.shape[1]
-        q += np.einsum("irk,rs,jsk->ij", d, a @ a.T / fan, d, optimize=True)
+        q += _einsum(plans, "irk,rs,jsk->ij", d, a @ a.T / fan, d)
         if l > 0:
             if s is not None:
-                d = np.einsum("pr,ipk->irk", s, d, optimize=True)
+                d = _einsum(plans, "pr,ipk->irk", s, d)
             d = np.matmul(d, weights[l].T) / sqrt(fan) * derivs[l - 1]
     return q
 
 
-def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
+def _stack_sample(plans, rng, x, s, depth, width, act, out_seed=None):
     """One draw of a (graph-)convolutional stack; returns its NTK contribution.
 
     The stack is P_1 = (S X) W_1 / sqrt(d), P_(l+1) = (S act(P_l)) W_(l+1)
@@ -466,43 +487,61 @@ def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
         if l < depth:
             derivs.append(_activate_deriv(act, p))
             a = _activate(act, p) if s is None else s @ _activate(act, p)
-    return _backprop(inputs, weights, derivs, s, out_seed)
+    return _backprop(plans, inputs, weights, derivs, s, out_seed)
 
 
 def _skip_draw(rng, x, depth, width, sact):
-    """h0 = X W_0, sact(h0) and the depth + 1 later weights of one skip-network
-    draw, drawn in that order."""
+    """h0 = X W_0, sact(h0), Z and the depth later weights of one skip-network
+    draw, drawn in that order.
+
+    The first hidden layer's weights W_1 (width x width) are not drawn:
+    `_backprop` never reads them, only their output P_1 = A_1 W_1 / sqrt(width),
+    and `_first_layer` draws that from Z, min(n, width) x width normals.
+    With the thin SVD A_1 = U S V^T, A_1 W_1 = U S (V^T W_1), and V^T W_1 is
+    itself a standard normal matrix by the rotation invariance of W_1, so
+    (U S) Z / sqrt(width) has exactly the law of P_1, whatever the rank of
+    A_1. (A Cholesky factor of A_1 A_1^T would need full rank; at d = 1,
+    A_1 has rank at most 3.) The weight list keeps None in W_1's place.
+    """
     h0 = x @ rng.standard_normal((x.shape[1], width))
-    weights = [rng.standard_normal((width, width)) for _ in range(depth)]
-    return h0, _activate(sact, h0), weights + [rng.standard_normal((width, 1))]
+    z = rng.standard_normal((min(x.shape[0], width), width))
+    weights = [rng.standard_normal((width, width)) for _ in range(depth - 1)]
+    return h0, _activate(sact, h0), z, [None] + weights + [rng.standard_normal((width, 1))]
 
 
-def _skip_pc_sample(rng, x, s, depth, width, sact):
-    h0, skip, weights = _skip_draw(rng, x, depth, width, sact)
+def _first_layer(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(U S) Z / sqrt(width) for the thin SVD a = U S V^T: a draw of
+    a W / sqrt(width), W width x width standard normal (see `_skip_draw`)."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return (u * sv) @ z / sqrt(z.shape[1])
+
+
+def _skip_pc_sample(plans, rng, x, s, depth, width, sact):
+    h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
     inputs, derivs = [], []
     carried = _activate("relu", h0)
     for l in range(depth):
         a = s @ (carried + skip)
         inputs.append(a)
-        p = a @ weights[l] / sqrt(width)
+        p = _first_layer(a, z) if l == 0 else a @ weights[l] / sqrt(width)
         derivs.append(_activate_deriv("relu", p))
         carried = _activate("relu", p)
     inputs.append(s @ carried)
-    return _backprop(inputs, weights, derivs, s)
+    return _backprop(plans, inputs, weights, derivs, s)
 
 
-def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
-    h0, skip, weights = _skip_draw(rng, x, depth, width, sact)
+def _skip_alpha_sample(plans, rng, x, s, depth, width, sact, alpha):
+    h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
     inputs = []
     carried = h0
     for l in range(depth):
         a = (1.0 - alpha) * (s @ carried) + alpha * skip
         inputs.append(a)
-        carried = a @ weights[l] / sqrt(width)
+        carried = _first_layer(a, z) if l == 0 else a @ weights[l] / sqrt(width)
     inputs.append(s @ carried)
     # hidden inputs carry the (1-alpha) interpolation weight, the readout none
     derivs = [1.0 - alpha] * (depth - 1) + [1.0]
-    return _backprop(inputs, weights, derivs, s)
+    return _backprop(plans, inputs, weights, derivs, s)
 
 
 def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int,
@@ -525,19 +564,20 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
             f"n*width = {graph.n * width} exceeds the cap {width_cap}; "
             "raise width_cap explicitly if you have the memory"
         )
-    rng = make_rng(seed)
+    rng, plans = make_rng(seed), {}
     x = graph.features
     s = spec.conv.S if spec.conv is not None else None
     if spec.kind in ("mlp", "gcn", "sgc"):
         act = "linear" if spec.kind == "sgc" else spec.activation
-        draw = partial(_stack_sample, rng, x, s, spec.depth, width, act)
+        draw = partial(_stack_sample, plans, rng, x, s, spec.depth, width, act)
     elif spec.kind in ("ppnp", "appnp"):
-        draw = partial(_stack_sample, rng, x, None, spec.depth, width, spec.activation,
+        draw = partial(_stack_sample, plans, rng, x, None, spec.depth, width, spec.activation,
                        out_seed=_propagation_matrix(spec, graph.n))
     elif spec.kind == "skip_pc":
-        draw = partial(_skip_pc_sample, rng, x, s, spec.depth, width, spec.skip_activation)
+        draw = partial(_skip_pc_sample, plans, rng, x, s, spec.depth, width,
+                       spec.skip_activation)
     else:
-        draw = partial(_skip_alpha_sample, rng, x, s, spec.depth, width,
+        draw = partial(_skip_alpha_sample, plans, rng, x, s, spec.depth, width,
                        spec.skip_activation, spec.alpha)
     total = np.zeros((graph.n, graph.n))
     for _ in range(samples):

@@ -119,6 +119,9 @@ class TestConfig:
         {"test_nodes": {"sample": 2.0}},
         {"test_nodes": {"sample": 2, "seed": 1.5}},
         {"test_nodes": {"sample": 2, "seed": True}},
+        # a limit below one leaf would blame the limit for every unsaturated cell
+        {"capacity": 0},
+        {"capacity": -5},
     ])
     def test_malformed_grid_inputs(self, tmp_path, override):
         with pytest.raises(ConfigError):
@@ -698,6 +701,23 @@ class TestSubcommands:
         cfg["threshold"] = 1e-9
         path = write_config(tmp_path, cfg, name="cfg2.json")
         assert main(["validate-ntk", "--config", path]) == 4
+
+    @pytest.mark.parametrize("command, override", [
+        ("certify", {"capacity": 0}),
+        ("certify", {"capacity": -5}),
+        # an infinite threshold passes every kernel; NaN and -1 fail every one
+        ("validate-ntk", {"threshold": float("inf")}),
+        ("validate-ntk", {"threshold": float("nan")}),
+        ("validate-ntk", {"threshold": -1.0}),
+    ], ids=["capacity-0", "capacity-negative", "threshold-inf", "threshold-nan",
+            "threshold-negative"])
+    def test_out_of_range_limit_is_config_error(self, tmp_path, capsys, command, override):
+        cfg = base_config(tmp_path / "out", seeds=[0], widths=[8, 16], nt_samples=2,
+                          architectures=[{"name": "gcn", "kind": "gcn", "depth": 1,
+                                          "conv": "row", "C": 1.0}], **override)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"config error: {next(iter(override))} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_ntk_monotone_column(self, tmp_path):
         cfg = base_config(

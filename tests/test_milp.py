@@ -8,12 +8,18 @@ import pytest
 
 from certlab import (
     Budget,
+    Constraint,
+    MilpModel,
+    Objective,
+    SamplewiseBlock,
     SvmProblem,
+    Variable,
     big_m,
     build_collective,
     build_multiclass,
     build_multiclass_inexact,
     build_samplewise,
+    build_samplewise_node,
     certify_collective,
     certify_multiclass_exact,
     certify_samples,
@@ -147,6 +153,24 @@ class TestBuilders:
             assert sum(pt[f"yt_{c}_{i}"] for c in range(1, K + 1)) == pytest.approx(2 - K)
             assert sum(pt[f"ytp_{c}_{i}"] for c in range(1, K + 1)) == pytest.approx(1.0)
 
+    def test_shared_block_models_match_one_row_builds(self, tmp_path):
+        # every node's model on one block equals the model built for that row
+        # alone, and the block's once-rendered MPS text gives the same bytes
+        q, y, qcross, C = small_instance()
+        qcross[1, 2] = 0.0  # a zero coefficient leaves z_2 out of that objective
+        block = SamplewiseBlock(q, y, C, 0.25)
+        for row, sign in enumerate((1, -1, 1, -1, 1)):
+            shared = build_samplewise_node(block, qcross[row], sign, node=10 + row)
+            alone = build_samplewise(q, qcross[row], y, C, 0.25, sign, node=10 + row)
+            assert shared == alone
+            assert shared.metadata == alone.metadata
+            assert shared.body is block.body
+            write_mps(shared, tmp_path / "shared.mps")
+            write_mps(alone, tmp_path / "alone.mps")
+            for suffix in (".mps", ".mps.meta.json"):
+                assert ((tmp_path / f"shared{suffix}").read_bytes()
+                        == (tmp_path / f"alone{suffix}").read_bytes())
+
     def test_multiclass_inexact_is_k_models(self):
         rng = np.random.Generator(np.random.Philox(10))
         m, K = 6, 3
@@ -260,6 +284,24 @@ class TestWriters:
         write_mps(model, path)
         golden = open(os.path.join(HERE, "data", "golden_m1.mps"), "rb").read()
         assert path.read_bytes() == golden
+
+    def test_mps_layout(self, tmp_path):
+        # a maximization, a repeated objective term, a column with no entry
+        # (written as a zero objective coefficient) and a closing INTEND
+        model = MilpModel(
+            [Variable("x", "continuous", -1.0, 2.5), Variable("f", "continuous", 0.0, np.inf),
+             Variable("b", "binary", 0.0, 1.0)],
+            [Constraint("c1", [(1.0, "x"), (-0.5, "b")], "<=", 0.0),
+             Constraint("c2", [(2.0, "b")], ">=", 1.0)],
+            Objective("max", [(1.0, "x"), (0.25, "b"), (3.0, "x")]), {"kind": "toy"})
+        write_mps(model, tmp_path / "toy.mps")
+        assert (tmp_path / "toy.mps").read_text() == "\n".join([
+            "NAME toy", "OBJSENSE", "    MAX", "ROWS", " N  OBJ", " L  c1", " G  c2",
+            "COLUMNS", "    x  OBJ  1.0", "    x  OBJ  3.0", "    x  c1  1.0",
+            "    f  OBJ  0.0", "    M1  'MARKER'  'INTORG'", "    b  OBJ  0.25",
+            "    b  c1  -0.5", "    b  c2  2.0", "    M2  'MARKER'  'INTEND'",
+            "RHS", "    RHS  c2  1.0", "BOUNDS", " LO BND  x  -1.0", " UP BND  x  2.5",
+            " UP BND  b  1", "ENDATA", ""])
 
     def test_lp_round_trip(self, tmp_path):
         q, y, qcross, C = small_instance()

@@ -19,7 +19,8 @@ from certlab import (
     sample_csbm,
     save_kernel,
 )
-from certlab.ntk import kappa0, kappa1
+import certlab.ntk
+from certlab.ntk import _first_layer, kappa0, kappa1
 
 
 def all_specs(conv):
@@ -269,7 +270,10 @@ class TestEmpirical:
         # The dense fixture (20 edges) and depth 2 reach every factor of the
         # backward pass, the skip variants' relu derivative and (1 - alpha)
         # weight included. At this width and seed every kind lies within
-        # 0.035; dropping either factor moves a skip kernel past 0.05.
+        # 0.032 (skip_pc 0.0017 and 0.028, skip_alpha 0.0054 and 0.0081 at
+        # depths 1 and 2). Dropping skip_pc's relu derivative moves it to
+        # 0.065 at depth 2 (0.048 at depth 1); dropping skip_alpha's
+        # (1 - alpha) moves it to 0.29 at depth 2.
         spec = {
             "mlp": ArchitectureSpec("mlp", depth),
             "gcn": ArchitectureSpec("gcn", depth, conv=small_conv),
@@ -283,6 +287,38 @@ class TestEmpirical:
         reference = ntk_analytic(spec, small_csbm).Q
         emp = ntk_empirical(spec, small_csbm, width=1024, samples=10, seed=0).Q
         assert np.linalg.norm(emp - reference) / np.linalg.norm(reference) <= 0.05
+
+    @pytest.mark.parametrize("rank", [3, 10])
+    def test_first_layer_draw_is_a_times_standard_normal(self, rank):
+        # With a = U S V^T, W = V Z + (I - V V^T) Y is standard normal for
+        # standard normal Z and Y, whatever Y is, and a W = U S Z. So the
+        # drawn P = a W / sqrt(width) for a W with the law of the weights.
+        rng = np.random.default_rng(rank)
+        n, width = 10, 64
+        a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, width))
+        z = rng.standard_normal((n, width))
+        v = np.linalg.svd(a, full_matrices=False)[2].T
+        for _ in range(3):
+            y = rng.standard_normal((width, width))
+            w = v @ z + (np.eye(width) - v @ v.T) @ y
+            np.testing.assert_allclose(_first_layer(a, z), a @ w / np.sqrt(width),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "sgc", "ppnp", "appnp"])
+    def test_planned_einsum_kernels_are_bit_identical(self, small_csbm, small_conv,
+                                                      monkeypatch, kind):
+        spec = {
+            "mlp": ArchitectureSpec("mlp", 2),
+            "gcn": ArchitectureSpec("gcn", 2, conv=small_conv),
+            "sgc": ArchitectureSpec("sgc", 2, conv=small_conv),
+            "ppnp": ArchitectureSpec("ppnp", 2, conv=small_conv, alpha=0.2),
+            "appnp": ArchitectureSpec("appnp", 2, conv=small_conv, alpha=0.1, power_k=6),
+        }[kind]
+        planned = ntk_empirical(spec, small_csbm, width=256, samples=3, seed=4).Q
+        monkeypatch.setattr(certlab.ntk, "_einsum", lambda plans, subscripts, *operands:
+                            np.einsum(subscripts, *operands, optimize=True))
+        replanned = ntk_empirical(spec, small_csbm, width=256, samples=3, seed=4).Q
+        assert planned.tobytes() == replanned.tobytes()
 
     def test_validation(self, small_csbm, small_conv):
         spec = ArchitectureSpec("gcn", 1, conv=small_conv)
