@@ -269,11 +269,13 @@ class TestEmpirical:
     def test_every_kind_matches_analytic(self, small_csbm, small_conv, kind, depth):
         # The dense fixture (20 edges) and depth 2 reach every factor of the
         # backward pass, the skip variants' relu derivative and (1 - alpha)
-        # weight included. At this width and seed every kind lies within
-        # 0.032 (skip_pc 0.0017 and 0.028, skip_alpha 0.0054 and 0.0081 at
-        # depths 1 and 2). Dropping skip_pc's relu derivative moves it to
-        # 0.065 at depth 2 (0.048 at depth 1); dropping skip_alpha's
-        # (1 - alpha) moves it to 0.29 at depth 2.
+        # weight included. 40 samples make the verdict the estimator's, not
+        # one draw's: at 10, about one legitimate random stream in three
+        # failed some case on seeds 0-59. At this width and seed every kind
+        # lies within 0.017. Dropping skip_pc's relu derivative reads
+        # 0.061-0.075 at depth 2 on seeds 0-5 (0.045-0.053 at depth 1, where
+        # it converges to the bound); dropping skip_alpha's (1 - alpha)
+        # reads 0.27-0.29 at depth 2.
         spec = {
             "mlp": ArchitectureSpec("mlp", depth),
             "gcn": ArchitectureSpec("gcn", depth, conv=small_conv),
@@ -285,7 +287,7 @@ class TestEmpirical:
             "skip_alpha": ArchitectureSpec("skip_alpha", depth, conv=small_conv, alpha=0.3),
         }[kind]
         reference = ntk_analytic(spec, small_csbm).Q
-        emp = ntk_empirical(spec, small_csbm, width=1024, samples=10, seed=0).Q
+        emp = ntk_empirical(spec, small_csbm, width=1024, samples=40, seed=0).Q
         assert np.linalg.norm(emp - reference) / np.linalg.norm(reference) <= 0.05
 
     @pytest.mark.parametrize("rank", [3, 10])
