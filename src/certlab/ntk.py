@@ -14,6 +14,15 @@ weights W: as (U S) Z / sqrt(width), from the thin SVD A = U S V^T and a
 min(n, width) x width standard normal Z. V^T W is standard normal by the
 rotation invariance of W, so the draw is exact in distribution.
 
+The stacks (mlp, gcn, sgc, ppnp, appnp) at depth >= 2 draw their top
+hidden layer W the same way. The readout has one unit, so the backward
+pass reads W only through b W^T for n rows b, and W = V Z + (I - V V^T) W
+with the second part standard normal given Z: with b^T = Q_b R_b,
+b W^T = (b Z^T) V^T + R_b^T Y^T (I - V V^T) for a fresh width x n standard
+normal Y, again exact in distribution. That is 2 n width normals where W
+took width^2. `_backprop` keeps the gradient factored as c[i, r] b[r]
+until an S mix meets n distinct rows, so W^T meets n rows, not n^2.
+
 Certification reads only the kernel's columns over the labeled nodes:
 K[labeled, labeled] for the dual and K[test, labeled] for the margins. So
 `ntk_analytic(spec, graph, columns=...)` returns just the n x m block
@@ -447,27 +456,72 @@ def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     """sum_l <grad_i W_l, grad_j W_l> of one draw, by reverse mode.
 
     Layer l computes P_l = A_l W_l / sqrt(fan), with A_l = `inputs[l]` and
-    fan its column count. Pulling the output gradient back through layer
-    l > 0 gives (S^T d) W_l^T / sqrt(fan) (`s=None`: no propagation),
-    times `derivs[l - 1]`, the local derivative of A_l in P_(l-1): an
-    array, or a scalar. Each layer's term contracts through
-    G = A A^T / fan without materializing the per-parameter Jacobian.
-    Nothing is pulled back through layer 0, so `weights[0]` is never
-    read. `out_seed` seeds the output gradient in place of the identity;
-    `plans` holds the einsum paths (see `_einsum`).
+    fan its column count. Pulling the output gradient d back through layer
+    l > 0 gives S^T (d W_l^T) / sqrt(fan) (`s=None`: no propagation), times
+    `derivs[l - 1]`, the local derivative of A_l in P_(l-1): an array, or a
+    scalar. Each layer's term contracts through G = A A^T / fan without
+    materializing the per-parameter Jacobian. Nothing is pulled back
+    through layer 0, so `weights[0]` is never read. `out_seed` seeds the
+    output gradient in place of the identity; `plans` holds the einsum
+    paths (see `_einsum`).
+
+    The gradient starts factored, d[i, r, :] = c[i, r] b[r], with c the
+    output seed and b one row of ones. It stays factored through every
+    layer while there is no S or b has one row (a scalar derivative keeps
+    one row, and then the mix is c <- c S); W_l^T then meets the rows of b,
+    not the n^2 rows of d, and the term is c (G o b b^T) c^T. The first S
+    mix that meets n rows expands d to n x n x fan. `weights[l]` is W_l,
+    or a function b -> b W_l^T for a layer never drawn whole, which is
+    pulled back while d is still factored (see `_stack_sample`).
     """
     n = inputs[0].shape[0]
-    d = np.eye(n)[:, :, None] if out_seed is None else out_seed[:, :, None]
+    c = np.eye(n) if out_seed is None else out_seed
+    b, d = np.ones((1, 1)), None
     q = np.zeros((n, n))
     for l in range(len(inputs) - 1, -1, -1):
         a = inputs[l]
         fan = a.shape[1]
-        q += _einsum(plans, "irk,rs,jsk->ij", d, a @ a.T / fan, d)
-        if l > 0:
-            if s is not None:
-                d = _einsum(plans, "pr,ipk->irk", s, d)
-            d = np.matmul(d, weights[l].T) / sqrt(fan) * derivs[l - 1]
+        if d is None:
+            q += c @ (a @ a.T / fan * (b @ b.T)) @ c.T
+        else:
+            q += _einsum(plans, "irk,rs,jsk->ij", d, a @ a.T / fan, d)
+        if l == 0:
+            break
+        w = weights[l]
+        if d is not None:
+            d = _einsum(plans, "pr,ipk->irk", s, d) @ w.T / sqrt(fan) * derivs[l - 1]
+            continue
+        b = (w(b) if callable(w) else b @ w.T) / sqrt(fan)
+        if s is not None and b.shape[0] > 1:  # the mix ends the factoring
+            d = _einsum(plans, "pr,ipk->irk", s, c[:, :, None] * b[None]) * derivs[l - 1]
+            continue
+        if s is not None:
+            c = c @ s
+        b = b * derivs[l - 1]
     return q
+
+
+def _row_space_layer(a: np.ndarray, z: np.ndarray):
+    """(U S) Z / sqrt(width) and V^T for the thin SVD a = U S V^T: a draw of
+    a W / sqrt(width), W width x width standard normal, from Z = V^T W,
+    min(n, width) x width standard normal (see `_skip_draw`)."""
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return (u * sv) @ z / sqrt(z.shape[1]), vt
+
+
+def _pull_top(rng, z: np.ndarray, vt: np.ndarray):
+    """b -> b W^T for the W whose only forward draw was Z = V^T W.
+
+    W = V Z + (I - V V^T) W, and given Z the second part is standard
+    normal on the complement of V. b W^T reads W only through W Q_b, for
+    the thin QR b^T = Q_b R_b, so b W^T = (b Z^T) V^T + R_b^T Y^T (I - V V^T)
+    with Y a fresh standard normal, width rows by Q_b's columns: exactly
+    the law of b W^T given everything drawn before."""
+    def pull(b):
+        qb, rb = np.linalg.qr(b.T)
+        t = rb.T @ rng.standard_normal((vt.shape[1], qb.shape[1])).T
+        return t + (b @ z.T - t @ vt.T) @ vt
+    return pull
 
 
 def _stack_sample(plans, rng, x, s, depth, width, act, out_seed=None):
@@ -476,18 +530,39 @@ def _stack_sample(plans, rng, x, s, depth, width, act, out_seed=None):
     The stack is P_1 = (S X) W_1 / sqrt(d), P_(l+1) = (S act(P_l)) W_(l+1)
     / sqrt(width), output = last P. `s=None` drops the propagation (MLP);
     `out_seed` left-multiplies the output by a fixed matrix (PPNP/APPNP).
+
+    At depth >= 2 the top hidden layer W (width x width, just below the
+    one-unit readout) is not drawn whole. The forward pass reads it only
+    through A W, with A its n x width input: `_row_space_layer` draws that
+    from Z = V^T W, min(n, width) x width normals. The readout has one
+    unit, so the gradient pulled back to W's output is c[i, r] b_r with
+    n rows b_r, and the backward pass reads W only through b W^T:
+    `_pull_top` draws that from Z and a fresh width x n normal Y. The draw
+    order is W_1, the lower hidden layers, Z, the readout, then Y. Each is
+    exact in distribution, so the draw is 2 n width normals where W took
+    width^2, and W's pull-back costs n^2 width where the n^2 gradient rows
+    took n^2 width^2. Depth 1 draws no width x width layer.
     """
-    dims = [x.shape[1]] + [width] * depth + [1]
-    weights = [rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth + 1)]
+    n, d = x.shape
+    dims = [d] + [width] * depth + [1]
+    top = depth - 1 if depth >= 2 else None  # the layer drawn as Z
+    weights = [rng.standard_normal((dims[l], dims[l + 1]))
+               for l in range(depth if top is None else top)]
+    z = None if top is None else rng.standard_normal((min(n, width), width))
+    readout = rng.standard_normal((dims[depth], 1))
     inputs, derivs = [], []
     a = x if s is None else s @ x
-    for l in range(depth + 1):
+    for l in range(depth):
         inputs.append(a)
-        p = a @ weights[l] / sqrt(dims[l])
-        if l < depth:
-            derivs.append(_activate_deriv(act, p))
-            a = _activate(act, p) if s is None else s @ _activate(act, p)
-    return _backprop(plans, inputs, weights, derivs, s, out_seed)
+        if l == top:
+            p, vt = _row_space_layer(a, z)
+            weights.append(_pull_top(rng, z, vt))
+        else:
+            p = a @ weights[l] / sqrt(dims[l])
+        derivs.append(_activate_deriv(act, p))
+        a = _activate(act, p) if s is None else s @ _activate(act, p)
+    inputs.append(a)
+    return _backprop(plans, inputs, weights + [readout], derivs, s, out_seed)
 
 
 def _skip_draw(rng, x, depth, width, sact):
@@ -496,7 +571,7 @@ def _skip_draw(rng, x, depth, width, sact):
 
     The first hidden layer's weights W_1 (width x width) are not drawn:
     `_backprop` never reads them, only their output P_1 = A_1 W_1 / sqrt(width),
-    and `_first_layer` draws that from Z, min(n, width) x width normals.
+    and `_row_space_layer` draws that from Z, min(n, width) x width normals.
     With the thin SVD A_1 = U S V^T, A_1 W_1 = U S (V^T W_1), and V^T W_1 is
     itself a standard normal matrix by the rotation invariance of W_1, so
     (U S) Z / sqrt(width) has exactly the law of P_1, whatever the rank of
@@ -509,13 +584,6 @@ def _skip_draw(rng, x, depth, width, sact):
     return h0, _activate(sact, h0), z, [None] + weights + [rng.standard_normal((width, 1))]
 
 
-def _first_layer(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(U S) Z / sqrt(width) for the thin SVD a = U S V^T: a draw of
-    a W / sqrt(width), W width x width standard normal (see `_skip_draw`)."""
-    u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    return (u * sv) @ z / sqrt(z.shape[1])
-
-
 def _skip_pc_sample(plans, rng, x, s, depth, width, sact):
     h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
     inputs, derivs = [], []
@@ -523,7 +591,7 @@ def _skip_pc_sample(plans, rng, x, s, depth, width, sact):
     for l in range(depth):
         a = s @ (carried + skip)
         inputs.append(a)
-        p = _first_layer(a, z) if l == 0 else a @ weights[l] / sqrt(width)
+        p = _row_space_layer(a, z)[0] if l == 0 else a @ weights[l] / sqrt(width)
         derivs.append(_activate_deriv("relu", p))
         carried = _activate("relu", p)
     inputs.append(s @ carried)
@@ -537,11 +605,20 @@ def _skip_alpha_sample(plans, rng, x, s, depth, width, sact, alpha):
     for l in range(depth):
         a = (1.0 - alpha) * (s @ carried) + alpha * skip
         inputs.append(a)
-        carried = _first_layer(a, z) if l == 0 else a @ weights[l] / sqrt(width)
+        carried = _row_space_layer(a, z)[0] if l == 0 else a @ weights[l] / sqrt(width)
     inputs.append(s @ carried)
     # hidden inputs carry the (1-alpha) interpolation weight, the readout none
     derivs = [1.0 - alpha] * (depth - 1) + [1.0]
     return _backprop(plans, inputs, weights, derivs, s)
+
+
+def check_width(n: int, width: int, width_cap: int = DEFAULT_WIDTH_CAP) -> None:
+    """Raise ResourceError if an n-node empirical estimate at `width` is over the cap."""
+    if n * width > width_cap:
+        raise ResourceError(
+            f"n*width = {n * width} exceeds the cap {width_cap}; "
+            "raise width_cap explicitly if you have the memory"
+        )
 
 
 def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int,
@@ -559,11 +636,7 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
         raise ValueError("width must be at least 8")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if graph.n * width > width_cap:
-        raise ResourceError(
-            f"n*width = {graph.n * width} exceeds the cap {width_cap}; "
-            "raise width_cap explicitly if you have the memory"
-        )
+    check_width(graph.n, width, width_cap)
     rng, plans = make_rng(seed), {}
     x = graph.features
     s = spec.conv.S if spec.conv is not None else None

@@ -20,7 +20,7 @@ from certlab import (
     save_kernel,
 )
 import certlab.ntk
-from certlab.ntk import _first_layer, kappa0, kappa1
+from certlab.ntk import _row_space_layer, kappa0, kappa1
 
 
 def all_specs(conv):
@@ -43,6 +43,54 @@ def path_graph():
     return Graph(np.array([[1.0, 0.0], [0.5, 1.0]]),
                  np.array([[0.0, 1.0], [1.0, 0.0]]),
                  np.array([1, 2]), np.array([0, 1]), num_classes=2)
+
+
+class Replay:
+    """A generator stand-in that hands out the given arrays in order."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == tuple(shape)
+        return out
+
+
+def dense_stack_kernel(x, s, weights, act, seed):
+    """Reference NTK of one draw of a stack with every weight matrix given.
+
+    The backward pass forms every output's weight gradients explicitly.
+    Also returns the top hidden layer's input A and the rows
+    b_r = w_out / sqrt(width) * act'(P_top)[r] pulled back through it. Both
+    repeat the library's arithmetic bit for bit: with d = 1 they are rank
+    deficient, and then their SVD and QR factors are set by rounding."""
+    def f(p):
+        return p if act == "linear" else np.sqrt(2.0) * np.maximum(p, 0.0)
+
+    def df(p):
+        return np.ones_like(p) if act == "linear" else np.sqrt(2.0) * (p > 0.0)
+
+    inputs, pre = [], []
+    a = x if s is None else s @ x
+    for w in weights:
+        inputs.append(a)
+        pre.append(a @ w / np.sqrt(w.shape[0]))
+        a = f(pre[-1]) if s is None else s @ f(pre[-1])
+    grads = []
+    for i in range(x.shape[0]):
+        g, flat = seed[i][:, None], []  # d f_i / d P, layer by layer downwards
+        for l in range(len(weights) - 1, -1, -1):
+            fan = np.sqrt(weights[l].shape[0])
+            flat.append((inputs[l].T @ g / fan).ravel())
+            if l:
+                g = g @ weights[l].T / fan
+                g = (g if s is None else s.T @ g) * df(pre[l - 1])
+        grads.append(np.concatenate(flat))
+    jac = np.array(grads)
+    top = pre[-2] if len(weights) > 1 else None
+    rows = None if top is None else weights[-1].T / np.sqrt(top.shape[1]) * df(top)
+    return jac @ jac.T, inputs[-2], rows
 
 
 class TestKappa:
@@ -272,10 +320,11 @@ class TestEmpirical:
         # weight included. 40 samples make the verdict the estimator's, not
         # one draw's: at 10, about one legitimate random stream in three
         # failed some case on seeds 0-59. At this width and seed every kind
-        # lies within 0.017. Dropping skip_pc's relu derivative reads
-        # 0.061-0.075 at depth 2 on seeds 0-5 (0.045-0.053 at depth 1, where
-        # it converges to the bound); dropping skip_alpha's (1 - alpha)
-        # reads 0.27-0.29 at depth 2.
+        # lies within 0.032 (the depth-2 stacks read 0.008-0.032, the rest
+        # at most 0.017), and no seed of 0-59 fails a depth-2 stack. Dropping
+        # skip_pc's relu derivative reads 0.061-0.075 at depth 2 on seeds 0-5
+        # (0.045-0.053 at depth 1, where it converges to the bound); dropping
+        # skip_alpha's (1 - alpha) reads 0.27-0.29 at depth 2.
         spec = {
             "mlp": ArchitectureSpec("mlp", depth),
             "gcn": ArchitectureSpec("gcn", depth, conv=small_conv),
@@ -303,8 +352,43 @@ class TestEmpirical:
         for _ in range(3):
             y = rng.standard_normal((width, width))
             w = v @ z + (np.eye(width) - v @ v.T) @ y
-            np.testing.assert_allclose(_first_layer(a, z), a @ w / np.sqrt(width),
+            np.testing.assert_allclose(_row_space_layer(a, z)[0], a @ w / np.sqrt(width),
                                        rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [8, 32])
+    @pytest.mark.parametrize("act", ["relu", "linear"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mlp", "gcn", "appnp"])
+    def test_projected_top_layer_equals_dense_draw(self, small_csbm, small_conv, monkeypatch,
+                                                   kind, depth, act, width):
+        # The sampler draws the top hidden layer W only as Z = V^T W (A = U S V^T
+        # its input) and Y = W Q_b (b^T = Q_b R_b the rows pulled back through
+        # it). Handing it those of a dense W must give the dense W's kernel.
+        x, n = small_csbm.features, small_csbm.n
+        spec = ArchitectureSpec(kind, depth, activation=act, **{
+            "mlp": {}, "gcn": {"conv": small_conv},
+            "appnp": {"conv": small_conv, "alpha": 0.1, "power_k": 6}}[kind])
+        s = small_conv.S if kind == "gcn" else None
+        seed = np.eye(n)
+        if kind == "appnp":
+            power = np.eye(n)
+            seed = 0.1 * power
+            for _ in range(5):
+                power = 0.9 * power @ small_conv.S
+                seed = seed + 0.1 * power
+            seed = seed + 0.9 * power @ small_conv.S
+        rng = np.random.default_rng(depth)
+        dims = [x.shape[1]] + [width] * depth + [1]
+        weights = [rng.standard_normal((dims[l], dims[l + 1])) for l in range(depth + 1)]
+        reference, a_top, rows = dense_stack_kernel(x, s, weights, act, seed)
+        draws = list(weights)
+        if depth >= 2:
+            vt = np.linalg.svd(a_top, full_matrices=False)[2]
+            draws[depth - 1] = vt @ weights[depth - 1]
+            draws.append(weights[depth - 1] @ np.linalg.qr(rows.T)[0])
+        monkeypatch.setattr(certlab.ntk, "make_rng", lambda _: Replay(draws))
+        got = ntk_empirical(spec, small_csbm, width=width, samples=1).Q
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize("kind", ["mlp", "gcn", "sgc", "ppnp", "appnp"])
     def test_planned_einsum_kernels_are_bit_identical(self, small_csbm, small_conv,
