@@ -54,7 +54,8 @@ from .graph import (
 )
 from .milp import (SamplewiseBlock, build_collective, build_samplewise_node, write_lp,
                    write_mps)
-from .ntk import ArchitectureSpec, kernel_to_csv, ntk_analytic, ntk_empirical, save_kernel
+from .ntk import (ArchitectureSpec, check_width, kernel_to_csv, ntk_analytic, ntk_empirical,
+                  save_kernel)
 from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
@@ -517,12 +518,17 @@ def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
     graph; pass iff every architecture's error at the largest width is within threshold."""
     seeds, archs, _ = config.select(seed_filter, arch_filter)
     graph = make_graph(config, seeds[0])
-    rows, all_pass = [], True
+    # every (architecture, width) is planned before the first draw
+    plan = []
     for name, arch in archs:
         if arch["kind"] == "linear":
             raise ConfigError("the linear kernel has no width sweep")
         spec = make_arch_spec(arch, graph)
-        reference = ntk_analytic(spec, graph).Q
+        plan.append((name, spec, ntk_analytic(spec, graph).Q))
+    for width in config.widths:
+        check_width(graph.n, width)
+    rows, all_pass = [], True
+    for name, spec, reference in plan:
         scale = np.linalg.norm(reference)
         errors = []
         for width in config.widths:

@@ -719,6 +719,24 @@ class TestSubcommands:
         assert f"config error: {next(iter(override))} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, code, message", [
+        ({}, 2, "config error: the linear kernel has no width sweep"),
+        ({"architectures": [{"name": "gcn", "kind": "gcn", "depth": 1, "conv": "row",
+                             "C": 1.0}], "widths": [128, 100000]},
+         1, "error: n*width = 2400000 exceeds the cap"),
+    ], ids=["linear", "over-cap"])
+    def test_validate_ntk_rejects_before_estimating(self, tmp_path, capsys, monkeypatch,
+                                                    override, code, message):
+        # base_config lists gcn before linear, so gcn would be estimated first
+        calls = []
+        monkeypatch.setattr(certlab.cli, "ntk_empirical", lambda *a, **k: calls.append(a))
+        cfg = base_config(tmp_path / "out", seeds=[0], widths=[128, 512], nt_samples=2)
+        cfg.update(override)
+        assert main(["validate-ntk", "--config", write_config(tmp_path, cfg)]) == code
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_validate_ntk_monotone_column(self, tmp_path):
         cfg = base_config(
             tmp_path / "out", seeds=[0],
