@@ -54,7 +54,7 @@ class Constraint:
         if self.sense not in ("<=", "=", ">="):
             raise ValueError(f"unknown constraint sense {self.sense!r}")
         object.__setattr__(self, "terms",
-                           tuple((float(c), str(v)) for c, v in self.terms))
+                           tuple([(float(c), str(v)) for c, v in self.terms]))
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ class _Builder:
         return name
 
     def con(self, name, terms, sense, rhs):
+        # Constraint converts each term once; zeros are dropped on the way in
         self.constraints.append(
-            Constraint(name, tuple((c, v) for c, v in terms if c != 0.0),
-                       sense, float(rhs)))
+            Constraint(name, ((c, v) for c, v in terms if c != 0.0), sense, float(rhs)))
 
 
 def _families(C, prefix):

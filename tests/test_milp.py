@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import certlab.milp
 from certlab import (
     Budget,
     Constraint,
@@ -170,6 +171,19 @@ class TestBuilders:
             for suffix in (".mps", ".mps.meta.json"):
                 assert ((tmp_path / f"shared{suffix}").read_bytes()
                         == (tmp_path / f"alone{suffix}").read_bytes())
+
+    def test_constraint_terms_are_converted_once_on_the_way_in(self):
+        # the builder drops zero coefficients; Constraint converts the rest
+        # to (float, str) and rejects a coefficient that is not a number
+        b = certlab.milp._Builder()
+        b.con("c", [(0.0, "x"), (2, "y"), (np.float64(-0.5), "z")], "<=", 1)
+        assert b.constraints[0] == Constraint("c", ((2.0, "y"), (-0.5, "z")), "<=", 1.0)
+        assert [type(c) for c, _ in b.constraints[0].terms] == [float, float]
+        assert Constraint("d", [(1, 7)], ">=", 0.0).terms == ((1.0, "7"),)
+        with pytest.raises(ValueError):
+            b.con("e", [("a", "x")], "<=", 0.0)
+        with pytest.raises(ValueError):
+            Constraint("e", [("a", "x")], "<=", 0.0)
 
     def test_multiclass_inexact_is_k_models(self):
         rng = np.random.Generator(np.random.Philox(10))
