@@ -21,7 +21,7 @@ with the second part standard normal given Z: with b^T = Q_b R_b,
 b W^T = (b Z^T) V^T + R_b^T Y^T (I - V V^T) for a fresh width x n standard
 normal Y, again exact in distribution. That is 2 n width normals where W
 took width^2. `_backprop` keeps the gradient factored as c[i, r] b[r]
-until an S mix meets n distinct rows, so W^T meets n rows, not n^2.
+until an S mix meets n rows b[r], so W^T meets n rows, not n^2.
 
 Certification reads only the kernel's columns over the labeled nodes:
 K[labeled, labeled] for the dual and K[test, labeled] for the margins. So
