@@ -488,16 +488,17 @@ def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
         if l == 0:
             break
         w = weights[l]
-        if d is not None:
-            d = _einsum(plans, "pr,ipk->irk", s, d) @ w.T / sqrt(fan) * derivs[l - 1]
-            continue
-        b = (w(b) if callable(w) else b @ w.T) / sqrt(fan)
-        if s is not None and b.shape[0] > 1:  # the mix ends the factoring
-            d = _einsum(plans, "pr,ipk->irk", s, c[:, :, None] * b[None]) * derivs[l - 1]
-            continue
-        if s is not None:
-            c = c @ s
-        b = b * derivs[l - 1]
+        if d is None:
+            b = (w(b) if callable(w) else b @ w.T) / sqrt(fan)
+            if s is not None and b.shape[0] > 1:  # the mix ends the factoring
+                d = c[:, :, None] * b[None]
+        else:
+            d = d @ w.T / sqrt(fan)
+        if d is None:
+            c = c if s is None else c @ s
+            b = b * derivs[l - 1]
+        else:
+            d = _einsum(plans, "pr,ipk->irk", s, d) * derivs[l - 1]
     return q
 
 
