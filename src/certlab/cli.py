@@ -122,9 +122,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("invalid experiment config: expected a JSON object, "
+                              f"not {type(doc).__name__}")
         timings = None
         if "config" in doc:  # a manifest: replay its config and reuse timings
             timings = doc.get("timings")
+            if timings is not None and not isinstance(timings, dict):
+                raise ConfigError("invalid manifest: timings must be a JSON object")
             doc = doc["config"]
         try:
             cfg = cls(
@@ -387,13 +392,14 @@ def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind,
     for eps in (b.epsilon for b in budgets):
         written = []
         if config.export_model == "collective":
-            keep = phat != 0.0
-            model = build_collective(Qtrain, Qcross[keep], y, C, eps, phat[keep],
-                                     test_ids=np.asarray(test)[keep])
-            base = os.path.join(export_dir, f"collective_s{seed}_{name}_e{eps}")
-            write_mps(model, base + ".mps")
-            write_lp(model, base + ".lp")
-            written.append(base + ".mps")
+            keep = phat != 0.0  # a zero-margin node is misclassified outright
+            if keep.any():  # with none left there is no model to write
+                model = build_collective(Qtrain, Qcross[keep], y, C, eps, phat[keep],
+                                         test_ids=np.asarray(test)[keep])
+                base = os.path.join(export_dir, f"collective_s{seed}_{name}_e{eps}")
+                write_mps(model, base + ".mps")
+                write_lp(model, base + ".lp")
+                written.append(base + ".mps")
         else:
             block = SamplewiseBlock(Qtrain, y, C, eps)  # every node's model shares it
             for row_idx, t in enumerate(test):

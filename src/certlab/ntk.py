@@ -5,8 +5,7 @@ the same kernel by Monte Carlo over finite-width initializations, and is
 the ground truth the analytic recursions are validated against. Each
 architecture's sampler runs its own forward pass and records, per layer,
 the layer input and the local derivative; one hand-written reverse-mode
-pass (`_backprop`) turns those records into the draw's kernel. Its
-einsums follow contraction paths planned once per `ntk_empirical` call.
+pass (`_backprop`) turns those records into the draw's kernel.
 
 Nothing is pulled back through the first hidden layer, so the skip
 variants draw that layer's output A W / sqrt(width), not its width x width
@@ -440,19 +439,7 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
 # Empirical kernels (Monte Carlo over finite-width initializations)
 # ---------------------------------------------------------------------------
 
-def _einsum(plans: dict, subscripts: str, *operands) -> np.ndarray:
-    """np.einsum along its greedy contraction path, planned once per
-    subscripts and operand shapes and kept in `plans`. `optimize=True` is
-    the greedy planner, so the contraction order, and every bit of the
-    result, is the same as planning on each call."""
-    key = (subscripts, *(op.shape for op in operands))
-    path = plans.get(key)
-    if path is None:
-        path = plans[key] = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
-def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
+def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     """sum_l <grad_i W_l, grad_j W_l> of one draw, by reverse mode.
 
     Layer l computes P_l = A_l W_l / sqrt(fan), with A_l = `inputs[l]` and
@@ -462,8 +449,7 @@ def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     scalar. Each layer's term contracts through G = A A^T / fan without
     materializing the per-parameter Jacobian. Nothing is pulled back
     through layer 0, so `weights[0]` is never read. `out_seed` seeds the
-    output gradient in place of the identity; `plans` holds the einsum
-    paths (see `_einsum`).
+    output gradient in place of the identity.
 
     The gradient starts factored, d[i, r, :] = c[i, r] b[r], with c the
     output seed and b one row of ones. It stays factored through every
@@ -484,7 +470,7 @@ def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
         if d is None:
             q += c @ (a @ a.T / fan * (b @ b.T)) @ c.T
         else:
-            q += _einsum(plans, "irk,rs,jsk->ij", d, a @ a.T / fan, d)
+            q += d.reshape(n, -1) @ np.matmul(a @ a.T / fan, d).reshape(n, -1).T
         if l == 0:
             break
         w = weights[l]
@@ -498,7 +484,7 @@ def _backprop(plans, inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
             c = c if s is None else c @ s
             b = b * derivs[l - 1]
         else:
-            d = _einsum(plans, "pr,ipk->irk", s, d) * derivs[l - 1]
+            d = np.matmul(s.T, d) * derivs[l - 1]
     return q
 
 
@@ -525,7 +511,7 @@ def _pull_top(rng, z: np.ndarray, vt: np.ndarray):
     return pull
 
 
-def _stack_sample(plans, rng, x, s, depth, width, act, out_seed=None):
+def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
     """One draw of a (graph-)convolutional stack; returns its NTK contribution.
 
     The stack is P_1 = (S X) W_1 / sqrt(d), P_(l+1) = (S act(P_l)) W_(l+1)
@@ -563,7 +549,7 @@ def _stack_sample(plans, rng, x, s, depth, width, act, out_seed=None):
         derivs.append(_activate_deriv(act, p))
         a = _activate(act, p) if s is None else s @ _activate(act, p)
     inputs.append(a)
-    return _backprop(plans, inputs, weights + [readout], derivs, s, out_seed)
+    return _backprop(inputs, weights + [readout], derivs, s, out_seed)
 
 
 def _skip_draw(rng, x, depth, width, sact):
@@ -585,7 +571,7 @@ def _skip_draw(rng, x, depth, width, sact):
     return h0, _activate(sact, h0), z, [None] + weights + [rng.standard_normal((width, 1))]
 
 
-def _skip_pc_sample(plans, rng, x, s, depth, width, sact):
+def _skip_pc_sample(rng, x, s, depth, width, sact):
     h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
     inputs, derivs = [], []
     carried = _activate("relu", h0)
@@ -596,10 +582,10 @@ def _skip_pc_sample(plans, rng, x, s, depth, width, sact):
         derivs.append(_activate_deriv("relu", p))
         carried = _activate("relu", p)
     inputs.append(s @ carried)
-    return _backprop(plans, inputs, weights, derivs, s)
+    return _backprop(inputs, weights, derivs, s)
 
 
-def _skip_alpha_sample(plans, rng, x, s, depth, width, sact, alpha):
+def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
     h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
     inputs = []
     carried = h0
@@ -610,7 +596,7 @@ def _skip_alpha_sample(plans, rng, x, s, depth, width, sact, alpha):
     inputs.append(s @ carried)
     # hidden inputs carry the (1-alpha) interpolation weight, the readout none
     derivs = [1.0 - alpha] * (depth - 1) + [1.0]
-    return _backprop(plans, inputs, weights, derivs, s)
+    return _backprop(inputs, weights, derivs, s)
 
 
 def check_width(n: int, width: int, width_cap: int = DEFAULT_WIDTH_CAP) -> None:
@@ -638,20 +624,20 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
     if samples < 1:
         raise ValueError("samples must be at least 1")
     check_width(graph.n, width, width_cap)
-    rng, plans = make_rng(seed), {}
+    rng = make_rng(seed)
     x = graph.features
     s = spec.conv.S if spec.conv is not None else None
     if spec.kind in ("mlp", "gcn", "sgc"):
         act = "linear" if spec.kind == "sgc" else spec.activation
-        draw = partial(_stack_sample, plans, rng, x, s, spec.depth, width, act)
+        draw = partial(_stack_sample, rng, x, s, spec.depth, width, act)
     elif spec.kind in ("ppnp", "appnp"):
-        draw = partial(_stack_sample, plans, rng, x, None, spec.depth, width, spec.activation,
+        draw = partial(_stack_sample, rng, x, None, spec.depth, width, spec.activation,
                        out_seed=_propagation_matrix(spec, graph.n))
     elif spec.kind == "skip_pc":
-        draw = partial(_skip_pc_sample, plans, rng, x, s, spec.depth, width,
+        draw = partial(_skip_pc_sample, rng, x, s, spec.depth, width,
                        spec.skip_activation)
     else:
-        draw = partial(_skip_alpha_sample, plans, rng, x, s, spec.depth, width,
+        draw = partial(_skip_alpha_sample, rng, x, s, spec.depth, width,
                        spec.skip_activation, spec.alpha)
     total = np.zeros((graph.n, graph.n))
     for _ in range(samples):

@@ -73,6 +73,22 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["certify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [5, None, True])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                          doc):
+        monkeypatch.chdir(tmp_path)  # the default output directory is relative
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["certify", "--config", "cfg.json"]) == 2
+        assert "config error: invalid experiment config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("timings", [[1.0, 2.0], "fast", 3])
+    def test_manifest_timings_not_an_object_is_config_error(self, tmp_path, capsys, timings):
+        manifest = {"config": base_config(tmp_path / "out", seeds=[0]), "timings": timings}
+        assert main(["certify", "--config", write_config(tmp_path, manifest)]) == 2
+        assert "config error: invalid manifest: timings" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override", [
         {"test_nodes": {"sample": 0}},
         {"test_nodes": {"sample": 0}, "certificate": "collective"},
@@ -683,6 +699,18 @@ class TestSubcommands:
         mps = [f for f in os.listdir(tmp_path / "out" / "exports")
                if f.endswith(".mps")]
         assert len(mps) == 2
+
+    def test_export_collective_without_nonzero_margin_writes_no_model(self, tmp_path):
+        # karate's features are one-hot, so every linear K[test, labeled] is 0:
+        # each test node is misclassified outright and no model is left to write
+        cfg = base_config(tmp_path / "out", dataset={"kind": "karate"}, seeds=[0],
+                          epsilons=[0.1], export_model="collective",
+                          architectures=[{"kind": "linear", "C": 1.0}])
+        assert main(["export", "--config", write_config(tmp_path, cfg)]) == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert not [f for f in os.listdir(tmp_path / "out" / "exports") if f.endswith(".mps")]
+        witnesses = json.loads((tmp_path / "out" / "witnesses.json").read_text())
+        assert witnesses == {"s0|linear|e0.1": {"kind": "export-only", "files": []}}
 
     def test_validate_ntk_pass_and_fail(self, tmp_path, capsys):
         # depth-0 linear readout has a deterministic empirical kernel:

@@ -1,8 +1,4 @@
-"""Run the demo scripts end to end; each exercises the public API.
-
-`02_kernel_zoo.py` is left out: it builds every kernel family at several
-widths and takes about 25 s, twenty times as long as the other four together.
-"""
+"""Run the demo scripts end to end; each exercises the public API."""
 
 import os
 import subprocess
@@ -13,8 +9,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_graphs.py", "03_samplewise_certification.py",
-                                  "04_collective_karate.py", "05_export_milp.py"])
+@pytest.mark.parametrize("demo", ["01_synthetic_graphs.py", "02_kernel_zoo.py",
+                                  "03_samplewise_certification.py", "04_collective_karate.py",
+                                  "05_export_milp.py"])
 def test_demo_runs(tmp_path, demo):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, TMPDIR=str(tmp_path),

@@ -20,7 +20,7 @@ from certlab import (
     save_kernel,
 )
 import certlab.ntk
-from certlab.ntk import _row_space_layer, kappa0, kappa1
+from certlab.ntk import _backprop, _row_space_layer, kappa0, kappa1
 
 
 def all_specs(conv):
@@ -55,6 +55,21 @@ class Replay:
         out = self.arrays.pop(0)
         assert out.shape == tuple(shape)
         return out
+
+
+def einsum_backprop(inputs, weights, derivs, s, out_seed=None):
+    """Reference for `_backprop`: the gradient d[i, r, :] of output i with
+    respect to row r of each layer's output, n x n x fan from the top down,
+    pulled back and contracted by plain einsums."""
+    n = inputs[0].shape[0]
+    d = (np.eye(n) if out_seed is None else out_seed)[:, :, None]
+    q = np.zeros((n, n))
+    for l in range(len(inputs) - 1, -1, -1):
+        fan = inputs[l].shape[1]
+        q += np.einsum("irk,rs,jsk->ij", d, inputs[l] @ inputs[l].T / fan, d)
+        if l:
+            d = np.einsum("pr,ipk->irk", s, d @ weights[l].T / np.sqrt(fan)) * derivs[l - 1]
+    return q
 
 
 def dense_stack_kernel(x, s, weights, act, seed):
@@ -390,21 +405,30 @@ class TestEmpirical:
         got = ntk_empirical(spec, small_csbm, width=width, samples=1).Q
         assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("kind", ["mlp", "gcn", "sgc", "ppnp", "appnp"])
-    def test_planned_einsum_kernels_are_bit_identical(self, small_csbm, small_conv,
-                                                      monkeypatch, kind):
-        spec = {
-            "mlp": ArchitectureSpec("mlp", 2),
-            "gcn": ArchitectureSpec("gcn", 2, conv=small_conv),
-            "sgc": ArchitectureSpec("sgc", 2, conv=small_conv),
-            "ppnp": ArchitectureSpec("ppnp", 2, conv=small_conv, alpha=0.2),
-            "appnp": ArchitectureSpec("appnp", 2, conv=small_conv, alpha=0.1, power_k=6),
-        }[kind]
-        planned = ntk_empirical(spec, small_csbm, width=256, samples=3, seed=4).Q
-        monkeypatch.setattr(certlab.ntk, "_einsum", lambda plans, subscripts, *operands:
-                            np.einsum(subscripts, *operands, optimize=True))
-        replanned = ntk_empirical(spec, small_csbm, width=256, samples=3, seed=4).Q
-        assert planned.tobytes() == replanned.tobytes()
+    @pytest.mark.parametrize("with_seed", [False, True])
+    @pytest.mark.parametrize("record", ["stack", "skip_pc", "skip_alpha"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_backprop_matches_einsum_reference(self, record, depth, with_seed):
+        # Random records of each sampler's shape: array derivatives make the
+        # gradient expand at the first S mix below the top hidden layer, a
+        # scalar one keeps it factored throughout.
+        rng = np.random.default_rng(depth)
+        n, d, width = 9, 3, 16
+        s = np.abs(rng.standard_normal((n, n)))
+        s /= s.sum(axis=1, keepdims=True)
+        dims = [d if record == "stack" else width] + [width] * depth + [1]
+        inputs = [rng.standard_normal((n, fan)) for fan in dims[:-1]]
+        weights = [None] + [rng.standard_normal((dims[l], dims[l + 1]))
+                            for l in range(1, depth + 1)]
+        if record == "skip_alpha":
+            derivs = [0.7] * (depth - 1) + [1.0]
+        else:
+            derivs = [np.sqrt(2.0) * (rng.standard_normal((n, width)) > 0)
+                      for _ in range(depth)]
+        seed = rng.standard_normal((n, n)) if with_seed else None
+        got = _backprop(inputs, weights, derivs, s, seed)
+        reference = einsum_backprop(inputs, weights, derivs, s, seed)
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_validation(self, small_csbm, small_conv):
         spec = ArchitectureSpec("gcn", 1, conv=small_conv)
