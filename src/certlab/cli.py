@@ -64,6 +64,8 @@ SCIENCE_FIELDS = ("certified_ratio", "certified_accuracy", "clean_accuracy")
 METRICS_FIELDS = ("seed", "arch", "epsilon", "kind", *SCIENCE_FIELDS, "runtime_ms")
 # an architecture name becomes a CSV field and part of output file names
 NAME_FORBIDDEN = ',"\n\r/\\'
+# numpy keys Philox with [test_nodes.seed, seed] as int64 only below 2**63
+SEED_LIMIT = 1 << 63
 
 
 def worker_count() -> int:
@@ -78,21 +80,31 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """The converter of every float field: a JSON integer or float; true or "0.5" is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(f"{value} is out of range") from exc
+
+
 # config fields with a dataclass default, and how a JSON value converts to them
-OPTIONAL_FIELDS = {"capacity": _integer, "tol": float, "max_sweeps": _integer,
+OPTIONAL_FIELDS = {"capacity": _integer, "tol": _number, "max_sweeps": _integer,
                    "export_model": str, "widths": lambda w: tuple(map(_integer, w)),
-                   "nt_samples": _integer, "threshold": float, "width_seed": _integer}
+                   "nt_samples": _integer, "threshold": _number, "width_seed": _integer}
 # the same for the dataset keys of each generator, and the architecture keys
 # of ArchitectureSpec; a key the config leaves out keeps the dataclass default
-_GRAPH_FIELDS = {"n": _integer, "sigma": float, "signal_scale": float,
+_GRAPH_FIELDS = {"n": _integer, "sigma": _number, "signal_scale": _number,
                  "labeled_per_class": _integer}
 GENERATORS = {
-    "csbm": (sample_csbm, CsbmParams, dict(_GRAPH_FIELDS, p=float, q=float)),
-    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=_integer,
-                                        affinity=lambda w: tuple(map(tuple, w)))),
+    "csbm": (sample_csbm, CsbmParams, dict(_GRAPH_FIELDS, p=_number, q=_number)),
+    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=_integer, affinity=lambda w: tuple(
+        tuple(map(_number, row)) for row in w))),
 }
-ARCH_FIELDS = {"depth": _integer, "alpha": None, "power_k": _integer, "skip_activation": None,
-               "activation": None}
+ARCH_FIELDS = {"depth": _integer, "alpha": _number, "power_k": _integer,
+               "skip_activation": None, "activation": None}
 
 
 def _given(doc: dict, fields: dict) -> dict:
@@ -130,12 +142,15 @@ class ExperimentConfig:
             timings = doc.get("timings")
             if timings is not None and not isinstance(timings, dict):
                 raise ConfigError("invalid manifest: timings must be a JSON object")
+            if any(isinstance(ms, bool) or not isinstance(ms, (int, float))
+                   or not 0.0 <= ms < math.inf for ms in (timings or {}).values()):  # NaN too
+                raise ConfigError("invalid manifest: timings must be finite numbers >= 0")
             doc = doc["config"]
         try:
             cfg = cls(
                 dataset=dict(doc["dataset"]),
                 architectures=[dict(a) for a in doc["architectures"]],
-                epsilons=[float(e) for e in doc["epsilons"]],
+                epsilons=[_number(e) for e in doc["epsilons"]],
                 certificate=doc.get("certificate", "sample"),
                 test_nodes=doc.get("test_nodes", "all-unlabeled"),
                 seeds=[_integer(s) for s in doc.get("seeds", [0])],
@@ -162,6 +177,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.dataset.get("kind") not in (*GENERATORS, "file", "karate"):
             raise ConfigError("dataset.kind must be csbm, cba, file or karate")
+        if type(self.dataset.get("normalize_features", False)) is not bool:
+            raise ConfigError("dataset.normalize_features must be true or false")
         if not self.architectures:
             raise ConfigError("need at least one architecture")
         names = [self.arch_name(i) for i in range(len(self.architectures))]
@@ -171,7 +188,7 @@ class ExperimentConfig:
             raise ConfigError("architecture names must not contain a comma, a double "
                               "quote, a line break or a path separator")
         for arch in self.architectures:
-            if not 0.0 < float(arch.get("C", 0.0)) < math.inf:  # NaN fails too
+            if not 0.0 < _number(arch.get("C", 0.0)) < math.inf:  # NaN fails too
                 raise ConfigError(f"architecture {arch} needs a finite C > 0")
         if not self.epsilons:
             raise ConfigError("need a non-empty epsilon grid")
@@ -183,6 +200,7 @@ class ExperimentConfig:
             raise ConfigError(f"certificate must be one of {CERTIFICATE_KINDS}")
         if self.export_model not in ("sample", "collective"):
             raise ConfigError("export_model must be 'sample' or 'collective'")
+        seed_fields = [*self.seeds, self.width_seed]
         if isinstance(self.test_nodes, str):
             if self.test_nodes != "all-unlabeled":
                 raise ConfigError("test_nodes must be 'all-unlabeled' or a sample spec")
@@ -191,13 +209,13 @@ class ExperimentConfig:
             raise ConfigError("test_nodes must be 'all-unlabeled' or {'sample': k, 'seed': s} "
                               "with integers k >= 1 and s")
         else:
-            _integer(self.test_nodes.get("seed", 0))
+            seed_fields.append(_integer(self.test_nodes.get("seed", 0)))
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds repeat a value")
-        if min(self.seeds) < 0 or self.width_seed < 0:
-            raise ConfigError("seeds and width_seed must be non-negative")
+        if not all(0 <= seed < SEED_LIMIT for seed in seed_fields):
+            raise ConfigError("seeds, test_nodes.seed and width_seed must lie in [0, 2**63)")
         if not self.widths or min(self.widths) < 8:
             raise ConfigError("widths must be a non-empty list of integers >= 8")
         if self.nt_samples < 1:
@@ -264,7 +282,7 @@ def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
         conv = None
         if kind not in ("mlp", "linear"):
             conv = normalize_adjacency(graph, arch.get("conv", "row"),
-                                       **_given(arch, {"beta": float}))
+                                       **_given(arch, {"beta": _number}))
         return ArchitectureSpec(kind=kind, conv=conv, **_given(arch, ARCH_FIELDS))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid architecture {arch}: {exc}") from exc

@@ -2,25 +2,27 @@
 
 `ntk_analytic` evaluates closed-form recursions; `ntk_empirical` estimates
 the same kernel by Monte Carlo over finite-width initializations, and is
-the ground truth the analytic recursions are validated against. Each
-architecture's sampler runs its own forward pass and records, per layer,
-the layer input and the local derivative; one hand-written reverse-mode
-pass (`_backprop`) turns those records into the draw's kernel.
+the ground truth the analytic recursions are validated against. One
+sampler (`_sample`) owns the layer loop, the draw order and the draw
+policy for every kind; a kind supplies only its first layer's input and a
+per-layer step that returns the local derivative and the next layer's
+input. One hand-written reverse-mode pass (`_backprop`) turns those
+records into the draw's kernel.
 
-Nothing is pulled back through the first hidden layer, so the skip
-variants draw that layer's output A W / sqrt(width), not its width x width
-weights W: as (U S) Z / sqrt(width), from the thin SVD A = U S V^T and a
-min(n, width) x width standard normal Z. V^T W is standard normal by the
-rotation invariance of W, so the draw is exact in distribution.
-
-The stacks (mlp, gcn, sgc, ppnp, appnp) at depth >= 2 draw their top
-hidden layer W the same way. The readout has one unit, so the backward
-pass reads W only through b W^T for n rows b, and W = V Z + (I - V V^T) W
-with the second part standard normal given Z: with b^T = Q_b R_b,
-b W^T = (b Z^T) V^T + R_b^T Y^T (I - V V^T) for a fresh width x n standard
-normal Y, again exact in distribution. That is 2 n width normals where W
-took width^2. `_backprop` keeps the gradient factored as c[i, r] b[r]
-until an S mix meets n rows b[r], so W^T meets n rows, not n^2.
+The forward pass reads a hidden layer's width x width weights W only
+through A W, A its n x width input. With the thin SVD A = U S V^T that is
+(U S) Z for Z = V^T W, a min(n, width) x width standard normal by the
+rotation invariance of W, so drawing Z is exact in distribution whatever
+the rank of A. Nothing is pulled back through the first hidden layer, so
+it is drawn as Z when its fan is the width (the skip variants). At
+depth >= 2 the top hidden layer, just below the one-unit readout, is
+drawn as Z too. The backward pass reads it only through b W^T for n rows
+b, and W = V Z + (I - V V^T) W with the second part standard normal given
+Z: with b^T = Q_b R_b, b W^T = (b Z^T) V^T + R_b^T Y^T (I - V V^T) for a
+fresh width x n standard normal Y, again exact in distribution. That is
+2 n width normals where W took width^2. `_backprop` keeps the gradient
+factored as c[i, r] b[r] until an S mix meets n rows b[r], so W^T meets
+n rows, not n^2.
 
 Certification reads only the kernel's columns over the labeled nodes:
 K[labeled, labeled] for the dual and K[test, labeled] for the margins. So
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
 from math import pi, sqrt
 
 import numpy as np
@@ -458,7 +459,7 @@ def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
     not the n^2 rows of d, and the term is c (G o b b^T) c^T. The first S
     mix that meets n rows expands d to n x n x fan. `weights[l]` is W_l,
     or a function b -> b W_l^T for a layer never drawn whole, which is
-    pulled back while d is still factored (see `_stack_sample`).
+    pulled back while d is still factored (see `_sample`).
     """
     n = inputs[0].shape[0]
     c = np.eye(n) if out_seed is None else out_seed
@@ -491,7 +492,7 @@ def _backprop(inputs, weights, derivs, s, out_seed=None) -> np.ndarray:
 def _row_space_layer(a: np.ndarray, z: np.ndarray):
     """(U S) Z / sqrt(width) and V^T for the thin SVD a = U S V^T: a draw of
     a W / sqrt(width), W width x width standard normal, from Z = V^T W,
-    min(n, width) x width standard normal (see `_skip_draw`)."""
+    min(n, width) x width standard normal (see `_sample`)."""
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     return (u * sv) @ z / sqrt(z.shape[1]), vt
 
@@ -511,92 +512,74 @@ def _pull_top(rng, z: np.ndarray, vt: np.ndarray):
     return pull
 
 
-def _stack_sample(rng, x, s, depth, width, act, out_seed=None):
-    """One draw of a (graph-)convolutional stack; returns its NTK contribution.
+def _sample(rng, start, depth, width, s, out_seed=None):
+    """One draw of a network; returns its NTK contribution.
 
-    The stack is P_1 = (S X) W_1 / sqrt(d), P_(l+1) = (S act(P_l)) W_(l+1)
-    / sqrt(width), output = last P. `s=None` drops the propagation (MLP);
-    `out_seed` left-multiplies the output by a fixed matrix (PPNP/APPNP).
-
-    At depth >= 2 the top hidden layer W (width x width, just below the
-    one-unit readout) is not drawn whole. The forward pass reads it only
-    through A W, with A its n x width input: `_row_space_layer` draws that
-    from Z = V^T W, min(n, width) x width normals. The readout has one
-    unit, so the gradient pulled back to W's output is c[i, r] b_r with
-    n rows b_r, and the backward pass reads W only through b W^T:
-    `_pull_top` draws that from Z and a fresh width x n normal Y. The draw
-    order is W_1, the lower hidden layers, Z, the readout, then Y. Each is
-    exact in distribution, so the draw is 2 n width normals where W took
-    width^2, and W's pull-back costs n^2 width where the n^2 gradient rows
-    took n^2 width^2. Depth 1 draws no width x width layer.
+    `start(rng)` draws what comes before the first hidden layer and returns
+    that layer's input A_0 and the kind's step: (l, P_l) -> (the derivative
+    `_backprop` records for layer l, A_(l+1)), with P_l = A_l W_l / sqrt(fan)
+    and A_depth the readout's input. `s` and `out_seed` go to `_backprop`.
+    The draw policy is every kind's (see the module docstring). The draw
+    order is what `start` draws, the hidden layers bottom-up, the readout,
+    then the Y of `_pull_top`.
     """
-    n, d = x.shape
-    dims = [d] + [width] * depth + [1]
-    top = depth - 1 if depth >= 2 else None  # the layer drawn as Z
-    weights = [rng.standard_normal((dims[l], dims[l + 1]))
-               for l in range(depth if top is None else top)]
-    z = None if top is None else rng.standard_normal((min(n, width), width))
-    readout = rng.standard_normal((dims[depth], 1))
-    inputs, derivs = [], []
-    a = x if s is None else s @ x
-    for l in range(depth):
+    a, step = start(rng)
+    n = a.shape[0]
+    fans = [a.shape[1]] + [width] * depth  # the hidden layers', then the readout's
+    # the layers drawn as Z: layer 0 if its fan is the width, the top one at depth >= 2
+    as_z = [(l == 0 and fans[0] == width) or (l == depth - 1 > 0) for l in range(depth)]
+    draws = [rng.standard_normal((min(n, width) if z else fan, width))
+             for fan, z in zip(fans, as_z)]
+    readout = rng.standard_normal((fans[-1], 1))
+    inputs, weights, derivs = [], [], []
+    for l, (fan, z, w) in enumerate(zip(fans, as_z, draws)):
         inputs.append(a)
-        if l == top:
-            p, vt = _row_space_layer(a, z)
-            weights.append(_pull_top(rng, z, vt))
+        if z:
+            p, vt = _row_space_layer(a, w)
+            w = _pull_top(rng, w, vt)  # `_backprop` never calls it for layer 0
         else:
-            p = a @ weights[l] / sqrt(dims[l])
-        derivs.append(_activate_deriv(act, p))
-        a = _activate(act, p) if s is None else s @ _activate(act, p)
+            p = a @ w / sqrt(fan)
+        weights.append(w)
+        deriv, a = step(l, p)
+        derivs.append(deriv)
     inputs.append(a)
     return _backprop(inputs, weights + [readout], derivs, s, out_seed)
 
 
-def _skip_draw(rng, x, depth, width, sact):
-    """h0 = X W_0, sact(h0), Z and the depth later weights of one skip-network
-    draw, drawn in that order.
+def _stack(x, s, act):
+    """A (graph-)convolutional stack: A_0 = S X, A_(l+1) = S act(P_l).
+    `s=None` drops the propagation."""
+    mix = (lambda a: a) if s is None else (lambda a: s @ a)
+    a0 = mix(x)
 
-    The first hidden layer's weights W_1 (width x width) are not drawn:
-    `_backprop` never reads them, only their output P_1 = A_1 W_1 / sqrt(width),
-    and `_row_space_layer` draws that from Z, min(n, width) x width normals.
-    With the thin SVD A_1 = U S V^T, A_1 W_1 = U S (V^T W_1), and V^T W_1 is
-    itself a standard normal matrix by the rotation invariance of W_1, so
-    (U S) Z / sqrt(width) has exactly the law of P_1, whatever the rank of
-    A_1. (A Cholesky factor of A_1 A_1^T would need full rank; at d = 1,
-    A_1 has rank at most 3.) The weight list keeps None in W_1's place.
-    """
-    h0 = x @ rng.standard_normal((x.shape[1], width))
-    z = rng.standard_normal((min(x.shape[0], width), width))
-    weights = [rng.standard_normal((width, width)) for _ in range(depth - 1)]
-    return h0, _activate(sact, h0), z, [None] + weights + [rng.standard_normal((width, 1))]
+    def step(l, p):
+        return _activate_deriv(act, p), mix(_activate(act, p))
+    return lambda rng: (a0, step)
 
 
-def _skip_pc_sample(rng, x, s, depth, width, sact):
-    h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
-    inputs, derivs = [], []
-    carried = _activate("relu", h0)
-    for l in range(depth):
-        a = s @ (carried + skip)
-        inputs.append(a)
-        p = _row_space_layer(a, z)[0] if l == 0 else a @ weights[l] / sqrt(width)
-        derivs.append(_activate_deriv("relu", p))
-        carried = _activate("relu", p)
-    inputs.append(s @ carried)
-    return _backprop(inputs, weights, derivs, s)
+def _skip(x, s, depth, width, sact, alpha=None):
+    """A skip network on H = X W_x, a fixed projection drawn first, with the
+    skip term sact(H). skip_pc (`alpha=None`): A_(l+1) = S (relu(P_l) +
+    sact(H)). skip_alpha: A_(l+1) = (1 - alpha) S P_l + alpha sact(H), with
+    linear layers, so the recorded derivative is the weight on S P_l. A_0
+    is the same map of H, and the readout's input leaves the skip term out."""
+    def start(rng):
+        h = x @ rng.standard_normal((x.shape[1], width))
+        skip = _activate(sact, h)
 
+        def mix(p, last):
+            if alpha is None:
+                carried = _activate("relu", p)
+                return s @ (carried if last else carried + skip)
+            return s @ p if last else (1.0 - alpha) * (s @ p) + alpha * skip
 
-def _skip_alpha_sample(rng, x, s, depth, width, sact, alpha):
-    h0, skip, z, weights = _skip_draw(rng, x, depth, width, sact)
-    inputs = []
-    carried = h0
-    for l in range(depth):
-        a = (1.0 - alpha) * (s @ carried) + alpha * skip
-        inputs.append(a)
-        carried = _row_space_layer(a, z)[0] if l == 0 else a @ weights[l] / sqrt(width)
-    inputs.append(s @ carried)
-    # hidden inputs carry the (1-alpha) interpolation weight, the readout none
-    derivs = [1.0 - alpha] * (depth - 1) + [1.0]
-    return _backprop(inputs, weights, derivs, s)
+        def step(l, p):
+            last = l == depth - 1
+            if alpha is None:
+                return _activate_deriv("relu", p), mix(p, last)
+            return (1.0 if last else 1.0 - alpha), mix(p, last)
+        return mix(h, False), step
+    return start
 
 
 def check_width(n: int, width: int, width_cap: int = DEFAULT_WIDTH_CAP) -> None:
@@ -625,23 +608,18 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
         raise ValueError("samples must be at least 1")
     check_width(graph.n, width, width_cap)
     rng = make_rng(seed)
-    x = graph.features
-    s = spec.conv.S if spec.conv is not None else None
-    if spec.kind in ("mlp", "gcn", "sgc"):
-        act = "linear" if spec.kind == "sgc" else spec.activation
-        draw = partial(_stack_sample, rng, x, s, spec.depth, width, act)
-    elif spec.kind in ("ppnp", "appnp"):
-        draw = partial(_stack_sample, rng, x, None, spec.depth, width, spec.activation,
-                       out_seed=_propagation_matrix(spec, graph.n))
-    elif spec.kind == "skip_pc":
-        draw = partial(_skip_pc_sample, rng, x, s, spec.depth, width,
-                       spec.skip_activation)
+    x, depth = graph.features, spec.depth
+    # PPNP and APPNP propagate through the output seed, not between layers
+    s = None if spec.conv is None or spec.kind in ("ppnp", "appnp") else spec.conv.S
+    out_seed = _propagation_matrix(spec, graph.n) if spec.kind in ("ppnp", "appnp") else None
+    if spec.kind in ("skip_pc", "skip_alpha"):
+        start = _skip(x, s, depth, width, spec.skip_activation,
+                      spec.alpha if spec.kind == "skip_alpha" else None)
     else:
-        draw = partial(_skip_alpha_sample, rng, x, s, spec.depth, width,
-                       spec.skip_activation, spec.alpha)
+        start = _stack(x, s, "linear" if spec.kind == "sgc" else spec.activation)
     total = np.zeros((graph.n, graph.n))
     for _ in range(samples):
-        total += draw()
+        total += _sample(rng, start, depth, width, s, out_seed)
     return KernelMatrix(total / samples, f"empirical/{spec.describe()}/w={width}/s={samples}")
 
 

@@ -89,6 +89,71 @@ class TestConfig:
         assert "config error: invalid manifest: timings" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("timing", ["abc", -1.0, float("nan"), float("inf"), True, None])
+    def test_manifest_timing_not_a_duration_is_config_error(self, tmp_path, capsys, timing):
+        # a replayed timing is copied into metrics.csv as runtime_ms
+        cfg = base_config(tmp_path / "out", seeds=[0], dataset={"kind": "karate"},
+                          architectures=[{"name": "lin", "kind": "linear", "C": 1.0}],
+                          test_nodes="all-unlabeled", epsilons=[0.1])
+        manifest = {"config": cfg, "timings": {"s0|lin|e0.1": timing}}
+        assert main(["certify", "--config", write_config(tmp_path, manifest)]) == 2
+        assert "config error: invalid manifest: timings" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"epsilons": ["0.5"]},
+        {"epsilons": [True]},
+        {"architectures": [{"name": "gcn", "kind": "gcn", "conv": "row", "C": "0.001"}]},
+        {"architectures": [{"name": "gcn", "kind": "gcn", "conv": "row", "C": True}]},
+        {"tol": "1e-10"},
+        {"threshold": "0.05"},
+        {"architectures": [{"name": "ppnp", "kind": "ppnp", "alpha": True, "C": 0.05}]},
+        {"architectures": [{"name": "ppnp", "kind": "ppnp", "alpha": "0.1", "C": 0.05}]},
+        {"architectures": [{"name": "gcn", "kind": "gcn", "conv": "row", "beta": True,
+                            "C": 0.05}]},
+        {"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3, "sigma": "2"}},
+        {"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3, "p": True}},
+        {"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3, "signal_scale": "1"}},
+        {"dataset": {"kind": "cba", "n": 24, "labeled_per_class": 3,
+                     "affinity": [[2.0, "1"], [1.0, 2.0]]}},
+        {"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3,
+                     "normalize_features": "no"}},
+        {"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3,
+                     "normalize_features": 1}},
+        {"architectures": [{"name": "gcn", "kind": "gcn", "conv": "row", "C": 10 ** 400}]},
+    ], ids=["eps-string", "eps-bool", "C-string", "C-bool", "tol-string", "threshold-string",
+            "alpha-bool", "alpha-string", "beta-bool", "sigma-string", "p-bool",
+            "signal-scale-string", "affinity-string", "normalize-string", "normalize-int",
+            "C-past-float-range"])
+    def test_float_field_takes_a_json_number_only(self, tmp_path, capsys, override):
+        # before, float() took "0.5" and true; any truthy normalize_features normalized
+        cfg = base_config(tmp_path / "out", seeds=[0], **override)
+        assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"seeds": [2 ** 63]},
+        {"seeds": [0, 2 ** 70]},
+        {"seeds": [-1]},
+        {"test_nodes": {"sample": 3, "seed": 2 ** 63}},
+        {"test_nodes": {"sample": 3, "seed": 2 ** 70}},
+        {"test_nodes": {"sample": 3, "seed": -1}},
+        {"width_seed": 2 ** 63},
+        {"width_seed": 2 ** 130},
+        {"width_seed": -1},
+    ], ids=["seed-2^63", "seed-2^70", "seed-negative", "test-seed-2^63", "test-seed-2^70",
+            "test-seed-negative", "width-seed-2^63", "width-seed-2^130", "width-seed-negative"])
+    @pytest.mark.parametrize("command", ["certify", "validate-ntk"])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, command, override):
+        # numpy keys Philox with [test_nodes.seed, seed] as float64 past 2**63, so
+        # distinct seeds there drew the same test set; 2**70 overflowed it
+        cfg = base_config(tmp_path / "out", widths=[8, 16], nt_samples=2,
+                          architectures=[{"name": "gcn", "kind": "gcn", "C": 1.0}], **override)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "must lie in [0, 2**63)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override", [
         {"test_nodes": {"sample": 0}},
         {"test_nodes": {"sample": 0}, "certificate": "collective"},
