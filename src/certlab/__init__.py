@@ -46,6 +46,7 @@ from .svm import (
     one_vs_all_split,
     saturates,
     solve_active_set,
+    solve_active_sets,
     solve_dual,
     solve_dual_pg,
 )

@@ -24,20 +24,27 @@ one-vs-all streams (the K problems of `milp.build_multiclass_inexact`).
 itself: a relabeling's class-c margins are a leaf of the class-c scan.
 `reduce_collective` always walks.
 
-The walk, `_scan_flips`, yields the margins of every test row for each
-binary flip set in size-ascending lexicographic order, each leaf
-warm-started from its parent. No leaf depends on the test node or the
-budget, and a smaller budget's leaves are a prefix of the walk, so a walk
-yields each budget's snapshot within the capacity limit as soon as it
-completes it, then raises the CapacityError of the first budget past it.
+The walk, `_scan_flips`, goes one level (flip-set size k) at a time and
+yields blocks: a chunk of the level's flip sets, in lexicographic order,
+as an index array, and the margins of every test row under them as one
+block, one row per leaf. Each leaf is warm-started from its parent, the
+set minus its largest element, in the level before. No leaf depends on
+the test node or the budget, and a smaller budget's leaves are a prefix
+of the walk, so a walk yields each budget's snapshot within the capacity
+limit at the end of its last level, then raises the CapacityError of the
+first budget past it. A reducer takes the first extremizer of each block
+and replaces its witness only on a strict gain across blocks, so every
+witness stays the first extremizer in size-ascending lexicographic order.
 
 Each reducer validates its `SvmProblem` up front. A saturated collective
-walk solves no leaf QP: each leaf costs one `margins` product. Otherwise
-each leaf's dual is one `_solve_leaf`: an active-set guess from its
-parent's dual that passes coordinate descent's own stopping test, or else
-coordinate descent. A `ScanStats` passed to a reducer counts the leaves,
-the verified ones, the fallbacks and the certificates answered in closed
-form.
+walk solves no leaf QP: each chunk costs one `margins` product. Otherwise
+a chunk's duals are one `_solve_chunk`: `solve_active_sets` guesses every
+leaf of the chunk from its parent's dual, one stacked linear solve per
+round, and a leaf whose guess does not pass coordinate descent's own
+stopping test falls back to coordinate descent. `CHUNK_FLOATS` bounds a
+chunk's stacked systems and margin block. A `ScanStats` passed to a
+reducer counts the leaves, the verified ones, the fallbacks and the
+certificates answered in closed form.
 
 `brute_force_oracle` is an intentionally naive re-implementation (fresh
 projected-gradient solve per leaf, no shared machinery) kept as the
@@ -61,12 +68,14 @@ from .svm import (
     margins,
     one_vs_all_split,
     saturates,
-    solve_active_set,
+    solve_active_sets,
     solve_dual,
     solve_dual_pg,
 )
 
 DEFAULT_CAPACITY = 1_000_000
+# floats in one chunk's stacked m x m systems, or in its margin block
+CHUNK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -175,21 +184,23 @@ def _test_rows(Qcross, test_ids, num_classes=2):
     return Qcross, test_ids
 
 
-def _improve(best, value, witness, changes):
-    """Row-wise running minimum; `changes` becomes the witness where value < best."""
-    better = value < best
-    if not better.any():
-        return best
-    for i in np.flatnonzero(better):
-        witness[i] = changes
-    return np.where(better, value, best)
+def _fold_least(best, values, witness, key):
+    """Column-wise running minimum over a block of leaves, one per row of
+    values: where a column's least value beats best strictly, witness takes
+    key(row) of its first minimizer in the block."""
+    first = np.argmin(values, axis=0)
+    least = values[first, np.arange(values.shape[1])]
+    better = least < best
+    for j in np.flatnonzero(better):
+        witness[j] = key(first[j])
+    return np.where(better, least, best)
 
 
 def _runner_up(P, c_hat):
-    """Per column of P, the largest entry outside row c_hat."""
+    """Per column of P (K x T, or a block of them), the largest entry outside row c_hat."""
     others = P.copy()
-    others[c_hat, np.arange(P.shape[1])] = -math.inf
-    return others.max(axis=0)
+    others[..., c_hat, np.arange(P.shape[-1])] = -math.inf
+    return others.max(axis=-2)
 
 
 def _certificates(test_ids, worst, witness):
@@ -216,55 +227,83 @@ def _top_gains(gains, rs):
                [tuple(sorted(o[:k].tolist())) for o, k in zip(order, taken)])
 
 
-def _solve_leaf(Qtrain, ytil, C, alpha0, tol, max_sweeps, stats):
-    """The dual of one unsaturated leaf; Qtrain is already validated.
+def _solve_chunk(problem, Y, alpha0, tol, max_sweeps, stats):
+    """The duals of a chunk of unsaturated leaves, one per row of the labels Y.
 
-    A child leaf takes the `solve_active_set` dual guessed from its parent's
-    dual alpha0 if that verifies, and otherwise a coordinate descent
-    warm-started from alpha0 (counted in `stats`). The clean leaf (alpha0
-    None) is a cold coordinate descent, the same floats as every other
-    clean solve of the problem.
+    The clean leaf (alpha0 None) is a cold coordinate descent, the same
+    floats as every other clean solve of the problem. A chunk of child
+    leaves takes the `solve_active_sets` duals guessed from the rows of
+    alpha0, the parents' duals, where they verify; every other row falls
+    back to a coordinate descent warm-started from its parent's dual
+    (counted in `stats`).
     """
-    if alpha0 is not None:
-        alpha = solve_active_set(Qtrain, ytil, C, alpha0, tol)
-        if alpha is not None:
-            stats.verified_leaves += 1
-            return alpha
+    if alpha0 is None:
+        return solve_dual(problem, tol, max_sweeps).alpha[None]
+    C = problem.C
+    alpha, verified = solve_active_sets(problem.Qtrain, Y, C, alpha0, tol)
+    stats.verified_leaves += int(np.count_nonzero(verified))
+    for i in np.flatnonzero(~verified):
         stats.cd_fallbacks += 1
-    return solve_dual(SvmProblem(Qtrain, ytil, C), tol, max_sweeps, alpha0=alpha0).alpha
+        alpha[i] = solve_dual(SvmProblem(problem.Qtrain, Y[i], C), tol, max_sweeps,
+                              alpha0=alpha0[i]).alpha
+    return alpha
+
+
+def _levels(m, r):
+    """Yield, per flip-set size k = 1..r, the C(m, k) x k flip sets in
+    lexicographic order and each one's parent row in level k - 1 (the set
+    minus its largest element): parent row j has m - 1 - last_j children,
+    extending it by each larger element in turn."""
+    flips, last = np.zeros((1, 0), dtype=np.intp), np.full(1, -1)
+    for _ in range(r):
+        counts = m - 1 - last
+        parent = np.repeat(np.arange(last.size), counts)
+        if not parent.size:
+            return
+        first_child = np.cumsum(counts) - counts
+        last = last[parent] + 1 + np.arange(parent.size) - first_child[parent]
+        flips = np.hstack([flips[parent], last[:, None]])
+        yield flips, parent
 
 
 def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats=None, saturated=False):
-    """Yield (flips, margins of the Qcross rows) for every flip set of size 0..r.
+    """Yield (flips, margins) blocks for the flip sets of size 0..r, by size
+    and then in lexicographic order: flips holds a chunk's sets as rows of
+    an index array, margins one row of Qcross margins per set.
 
     `problem` is a validated SvmProblem; leaves only flip signs of its
     labels. If `saturated` (its `saturates` verdict; only the collective
     reducer walks a saturated problem), every leaf's dual is C * 1 and no QP
-    is solved. Otherwise each leaf is one `_solve_leaf`, a child guessed or
-    warm-started from its parent (the set minus its largest element). Every
-    dual passes the same stopping test, so warm starts affect speed only.
-    `stats` (a ScanStats) counts the leaves.
+    is solved. Otherwise each chunk of a level is one `_solve_chunk`, every
+    child guessed or warm-started from its parent. Every dual passes the
+    same stopping test, so warm starts affect speed only. A chunk holds at
+    most CHUNK_FLOATS / max(m^2, T) leaves. `stats` (a ScanStats) counts the
+    leaves.
     """
     stats = ScanStats() if stats is None else stats
-    y, C = problem.y, problem.C
+    y, C, m = problem.y, problem.C, problem.m
     if saturated:
-        pinned = np.full(problem.m, C, dtype=np.float64)
-        pinned.setflags(write=False)
-        solve = lambda ytil, alpha0: pinned
+        alpha = np.full((1, m), C)
     else:
-        solve = lambda ytil, alpha0: _solve_leaf(problem.Qtrain, ytil, C, alpha0, tol,
-                                                 max_sweeps, stats)
-    prev = {}  # the clean leaf (k = 0) has no parent and is solved cold
-    for k in range(r + 1):
-        cur = {}
-        for combo in itertools.combinations(range(y.size), k):
-            ytil = y.copy()
-            ytil[list(combo)] *= -1.0
-            alpha = solve(ytil, prev.get(combo[:-1]))
-            stats.leaves += 1
-            yield combo, margins(alpha, ytil, Qcross)
-            cur[combo] = alpha
-        prev = cur
+        alpha = _solve_chunk(problem, y[None], None, tol, max_sweeps, stats)
+    stats.leaves += 1
+    yield np.zeros((1, 0), dtype=np.intp), margins(alpha[0], y, Qcross)[None]
+    step = max(1, CHUNK_FLOATS // max(m * m, len(Qcross)))
+    for flips, parent in _levels(m, r):
+        duals = None if saturated else np.empty((len(flips), m))
+        for lo in range(0, len(flips), step):
+            sets = flips[lo:lo + step]
+            Y = np.tile(y, (len(sets), 1))
+            Y[np.arange(len(sets))[:, None], sets] *= -1.0
+            if saturated:
+                block = np.broadcast_to(alpha[0], Y.shape)
+            else:
+                block = duals[lo:lo + step] = _solve_chunk(
+                    problem, Y, alpha[parent[lo:lo + step]], tol, max_sweeps, stats)
+            stats.leaves += len(sets)
+            yield sets, margins(block, Y, Qcross)
+        if not saturated:
+            alpha = duals
 
 
 def _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats):
@@ -285,10 +324,13 @@ def _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats):
         return
     ends, r, over = _budget_ends(rs, problem.m, 2, cap)
     least, witness = np.full(2 * len(Qcross), math.inf), [()] * (2 * len(Qcross))
-    for n, (flips, p) in enumerate(_scan_flips(problem, Qcross, r, tol, max_sweeps, stats), 1):
-        if n == 1:
-            yield p, False
-        least = _improve(least, np.concatenate([p, -p]), witness, flips)
+    n = 0
+    for flips, P in _scan_flips(problem, Qcross, r, tol, max_sweeps, stats):
+        if not n:
+            yield P[0], False
+        least = _fold_least(least, np.hstack([P, -P]), witness,
+                            lambda i: tuple(flips[i].tolist()))
+        n += len(P)
         for _ in range(ends[n]):
             yield least, witness
     if over:
@@ -325,16 +367,19 @@ def reduce_collective(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_
     ends, r, over = _budget_ends(_budget_rs(budgets), problem.m, 2, cap)
     leaves = _scan_flips(problem, Qcross, r, tol, max_sweeps, stats,
                          saturated=saturates(problem.Qtrain, C))
-    most = -1
-    for n, (flips, p) in enumerate(leaves, 1):
-        if n == 1:
-            sign = np.sign(p)
+    most, n = -1, 0
+    for flips, P in leaves:
+        if not n:
+            sign = np.sign(P[0])
             zero = sign == 0.0
-            yield p
-        broken = sign * p <= 0.0
-        count = int(np.count_nonzero(broken & ~zero))
-        if count > most:
-            most, witness = count, (flips, broken | zero)
+            yield P[0]
+        broken = sign * P <= 0.0
+        counts = np.count_nonzero(broken & ~zero, axis=1)
+        first = int(np.argmax(counts))
+        if counts[first] > most:
+            most, witness = int(counts[first]), (tuple(flips[first].tolist()),
+                                                  broken[first] | zero)
+        n += len(P)
         for _ in range(ends[n]):
             # an undefined clean sign counts as misclassified outright
             yield CollectiveCertificate(most + int(np.sum(zero)), *witness)
@@ -383,23 +428,29 @@ def _class_problems(Qtrain, labels, num_classes, C):
 
 
 def _relabeling_margins(labels, scans, r):
-    """Yield (changes, P) per relabeling with at most r changed nodes, by
-    size, combination, assignment: changes holds (node, new_class) pairs and
-    P[c - 1] the class-c margins, those of the leaf of scans[c - 1] flipping
-    the changed nodes moved into or out of c. Each class reads its size-k
-    leaves into its table (flip set -> margins) before the size-k relabelings."""
+    """Yield (changes, P) blocks of the relabelings with at most r changed
+    nodes, by size, combination, assignment: changes[j] holds the (node,
+    new_class) pairs of relabeling j, and P[j, c - 1] its class-c margins,
+    those of the leaf of scans[c - 1] flipping the changed nodes moved into
+    or out of c. Each class reads its size-k blocks into its table (flip
+    set -> margins) before the size-k relabelings; a block holds at most
+    CHUNK_FLOATS / (K T) relabelings."""
     m, classes = len(labels), range(1, len(scans) + 1)
     tables = [{} for _ in scans]
     for k in range(r + 1):
         for table, scan in zip(tables, scans):
-            table.update(itertools.islice(scan, math.comb(m, k)))
-        for combo in itertools.combinations(range(m), k):
-            spaces = [[c for c in classes if c != labels[i]] for i in combo]
-            for assignment in itertools.product(*spaces):
-                changes = tuple(zip(combo, assignment))
-                yield changes, np.array([
-                    table[tuple(i for i, new in changes if c in (labels[i], new))]
-                    for c, table in zip(classes, tables)])
+            while len(table) < leaf_count(m, k):
+                flips, P = next(scan)
+                table.update(zip(map(tuple, flips.tolist()), P))
+        step = max(1, CHUNK_FLOATS // (len(scans) * len(tables[0][()])))
+        level = (tuple(zip(combo, assignment))
+                 for combo in itertools.combinations(range(m), k)
+                 for assignment in itertools.product(
+                     *[[c for c in classes if c != labels[i]] for i in combo]))
+        while changes := list(itertools.islice(level, step)):
+            yield changes, np.array([
+                [table[tuple(i for i, new in ch if c in (labels[i], new))]
+                 for c, table in zip(classes, tables)] for ch in changes])
 
 
 def _closed_exact(P, labels, C, Qcross, rs):
@@ -459,12 +510,14 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
     ends, r, over = _budget_ends(rs, labels.size, num_classes, cap)
     scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
     rows = np.arange(len(test_ids))
-    best, witness = np.full(rows.size, math.inf), [()] * rows.size
-    for n, (changes, P) in enumerate(_relabeling_margins(labels.tolist(), scans, r), 1):
-        if n == 1:
-            c_hat = np.argmax(P, axis=0)
-            yield P
-        best = _improve(best, P[c_hat, rows] - _runner_up(P, c_hat), witness, changes)
+    best, witness, n = np.full(rows.size, math.inf), [()] * rows.size, 0
+    for changes, P in _relabeling_margins(labels.tolist(), scans, r):
+        if not n:
+            c_hat = np.argmax(P[0], axis=0)
+            yield P[0]
+        best = _fold_least(best, P[:, c_hat, rows] - _runner_up(P, c_hat), witness,
+                           changes.__getitem__)
+        n += len(changes)
         for _ in range(ends[n]):
             yield _certificates(test_ids, best, witness)
     if over:

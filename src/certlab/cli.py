@@ -32,6 +32,7 @@ from .certify import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     Budget,
+    CollectiveCertificate,
     ScanStats,
     metrics,
     reduce_collective,
@@ -66,6 +67,13 @@ METRICS_FIELDS = ("seed", "arch", "epsilon", "kind", *SCIENCE_FIELDS, "runtime_m
 NAME_FORBIDDEN = ',"\n\r/\\'
 # numpy keys Philox with [test_nodes.seed, seed] as int64 only below 2**63
 SEED_LIMIT = 1 << 63
+# per_node.json, one template per record kind: each renders the bytes
+# json.dump(records, indent=1) writes, a record's head holding its cell
+_NODE_HEAD = ' {\n  "seed": %d,\n  "arch": %s,\n  "epsilon": %s,\n'
+_COLLECTIVE_NODE = '  "node": %d,\n  "misclassified_under_witness": %s\n }'
+_SAMPLE_NODE = '  "node": %d,\n  "robust": %s,\n  "worst_objective": %s,\n  "witness": %s\n }'
+_WITNESS_PAIR = '[\n    %d,\n    %d\n   ]'  # a multi-class (node, new_class) change
+_JSON_BOOL = ("false", "true")
 
 
 def worker_count() -> int:
@@ -88,6 +96,10 @@ def _number(value) -> float:
         return float(value)
     except OverflowError as exc:  # an integer past the float range
         raise ValueError(f"{value} is out of range") from exc
+
+
+def _nonempty_str(value) -> bool:
+    return isinstance(value, str) and value != ""
 
 
 # config fields with a dataclass default, and how a JSON value converts to them
@@ -177,6 +189,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.dataset.get("kind") not in (*GENERATORS, "file", "karate"):
             raise ConfigError("dataset.kind must be csbm, cba, file or karate")
+        if self.dataset["kind"] == "file" and not _nonempty_str(self.dataset.get("path")):
+            raise ConfigError(f"invalid dataset {self.dataset}: path must be a non-empty string")
+        if not _nonempty_str(self.output_dir):
+            raise ConfigError("output_dir must be a non-empty string")
         if type(self.dataset.get("normalize_features", False)) is not bool:
             raise ConfigError("dataset.normalize_features must be true or false")
         if not self.architectures:
@@ -314,10 +330,53 @@ def _witness_json(w) -> list:
     return [list(x) if isinstance(x, tuple) else int(x) for x in w]
 
 
-def _dump_json(doc, output_dir: str, name: str, sort_keys: bool = True) -> str:
+def _json_float(x: float) -> str:
+    """A float as `json` writes it: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _witness_text(w) -> str:
+    """A witness, flip set or multi-class changes, as a per_node.json record holds it."""
+    if not w:
+        return "[]"
+    items = (_WITNESS_PAIR % x if isinstance(x, tuple) else "%d" % x for x in w)
+    return "[\n   " + ",\n   ".join(items) + "\n  ]"
+
+
+def _node_records(test, result):
+    """Yield the per_node.json records of one cell, each rendered from the
+    template of its kind: collective flags, or a sample-wise or multi-class
+    certificate with its witness. Rendering waits for the file: a cell
+    holds its certificates until then, not its text."""
+    if isinstance(result, CollectiveCertificate):
+        for t, flag in zip(np.asarray(test).tolist(), result.misclassified.tolist()):
+            yield _COLLECTIVE_NODE % (t, _JSON_BOOL[flag])
+    else:
+        for c in result:
+            yield _SAMPLE_NODE % (c.node, _JSON_BOOL[c.robust], _json_float(c.worst_objective),
+                                  _witness_text(c.witness))
+
+
+def _dump_per_node(cells, output_dir: str) -> str:
+    """Write per_node.json record by record from (seed, arch, epsilon,
+    records) cells, each record rendered from its template: the bytes
+    json.dump(records, indent=1) writes, with a final line end."""
+    path = os.path.join(output_dir, "per_node.json")
+    with open(path, "w") as fh:
+        sep = "[\n"
+        for seed, name, eps, records in cells:
+            head = _NODE_HEAD % (seed, json.dumps(name), _json_float(eps))
+            for record in records:
+                fh.write(sep + head + record)
+                sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+    return path
+
+
+def _dump_json(doc, output_dir: str, name: str) -> str:
     path = os.path.join(output_dir, name)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -334,7 +393,8 @@ def _dump_csv(rows: list[dict], fields, output_dir: str, name: str) -> str:
 def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, stats):
     """One (seed, arch) grid unit: a single reducer pass answers every epsilon.
 
-    Returns one (row, per_node, witness, error, ms) per epsilon, ms counted
+    Returns one (row, per_node, witness, error, ms) per epsilon, per_node
+    the cell's per_node.json records (see `_node_records`) and ms counted
     from the start of the unit, and counts the reducer's leaves and closed-form
     rows into `stats` (an export counts none). A CertlabError out of the
     reducer (a capacity limit or a failed solve) is the error of every
@@ -379,24 +439,15 @@ def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, b
             correct = int(np.sum((predicted == truth) & (predicted != 0)))
             ratio = (n_test - result.max_misclassified) / n_test
             cert_acc = max(0, correct - result.max_misclassified) / n_test
-            per_node = [
-                {"node": int(t), "misclassified_under_witness": bool(flag)}
-                for t, flag in zip(test, result.misclassified)
-            ]
             witness = {"kind": "collective", "witness": _witness_json(result.witness),
                        "max_misclassified": result.max_misclassified}
-            yield (ratio, cert_acc, correct / n_test), per_node, witness
+            yield (ratio, cert_acc, correct / n_test), _node_records(test, result), witness
         else:
-            per_node = [
-                {"node": c.node, "robust": c.robust, "worst_objective": c.worst_objective,
-                 "witness": _witness_json(c.witness)}
-                for c in result
-            ]
             witness = {"kind": kind,
                        "witnesses": {str(c.node): _witness_json(c.witness) for c in result}}
             row = metrics(result, predicted, truth, budget.epsilon)
             yield ((row.certified_ratio, row.certified_accuracy, row.clean_accuracy),
-                   per_node, witness)
+                   _node_records(test, result), witness)
 
 
 def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
@@ -457,7 +508,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
                   for name, arch in archs]
     os.makedirs(config.output_dir, exist_ok=True)
 
-    timings, errors, rows, per_node_all, witness_all, stats = {}, {}, [], [], {}, {}
+    timings, errors, rows, per_node_cells, witness_all, stats = {}, {}, [], [], {}, {}
     replay = config.replay_timings or {}
     for seed, graph, test, kind, name, arch, kernel in units:
         unit_stats = stats[f"s{seed}|{name}"] = ScanStats()
@@ -474,12 +525,10 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             vals = (float("nan"),) * 3 if err is not None else row
             rows.append(dict(zip(METRICS_FIELDS, (seed, name, eps, config.certificate, *vals,
                                                   timings[key]))))
-            for rec in per_node:
-                per_node_all.append({"seed": seed, "arch": name, "epsilon": eps, **rec})
+            per_node_cells.append((seed, name, eps, per_node))
 
     metrics_path = _dump_csv(rows, METRICS_FIELDS, config.output_dir, "metrics.csv")
-    per_node_path = _dump_json(per_node_all, config.output_dir, "per_node.json",
-                               sort_keys=False)
+    per_node_path = _dump_per_node(per_node_cells, config.output_dir)
     witness_path = _dump_json(witness_all, config.output_dir, "witnesses.json")
     manifest = {
         "config": config.resolved(),

@@ -292,11 +292,14 @@ def sample_cba(params: CbaParams) -> Graph:
             degree[j] += 1
 
     add_edge(1, 0)
+    affinity = w[:, labels - 1]  # row c - 1: the affinity of class c to each node
     for i in range(2, n):
-        weights = (1.0 + degree[:i]) * w[labels[i] - 1, labels[:i] - 1]
-        pvec = weights / weights.sum()
-        draws = rng.choice(i, size=params.deg, replace=True, p=pvec)
-        for j in draws:
+        weights = (1.0 + degree[:i]) * affinity[labels[i] - 1, :i]
+        # what rng.choice(i, size=deg, replace=True, p=weights / weights.sum())
+        # computes, the same floats and the same draws from rng
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        for j in cdf.searchsorted(rng.random(params.deg), side="right"):
             add_edge(i, int(j))
     labeled = _stratified_labeled(rng, labels, params.labeled_per_class, 2)
     return Graph(features, adjacency, labels, labeled, num_classes=2, seed=params.seed)

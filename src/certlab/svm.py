@@ -4,9 +4,11 @@ The dual minimizes  -sum_i a_i + 1/2 sum_ij y_i y_j a_i a_j Q_ij  subject to
 0 <= a_i <= C. Three solvers are provided: a primal-dual active-set step
 that solves the free block of a guessed active set directly and returns a
 dual only if it passes the stopping test of coordinate descent (the
-certifier's leaf oracle), cyclic coordinate descent (warm-startable, the
-fallback when no guess verifies) and a deliberately plain projected-gradient
-reference used as a cross-checking oracle.
+certifier's leaf oracle; `solve_active_sets` runs it for a block of label
+vectors at once, one stacked linear solve per round), cyclic coordinate
+descent (warm-startable, the fallback when no guess verifies) and a
+deliberately plain projected-gradient reference used as a cross-checking
+oracle. `margins` reads one dual, or a block of them, one per row.
 """
 
 from __future__ import annotations
@@ -97,12 +99,12 @@ def _objective(alpha: np.ndarray, h: np.ndarray) -> float:
     return float(-alpha.sum() + 0.5 * alpha @ h @ alpha)
 
 
-def _violation(alpha: np.ndarray, grad: np.ndarray, C: float) -> float:
-    """Largest first-order optimality violation over the box."""
+def _violation(alpha: np.ndarray, grad: np.ndarray, C: float):
+    """Largest first-order optimality violation over the box, per row of a block."""
     v = np.abs(grad)
     v = np.where(alpha <= 0.0, np.maximum(-grad, 0.0), v)
     v = np.where(alpha >= C, np.maximum(grad, 0.0), v)
-    return float(v.max(initial=0.0))
+    return v.max(axis=-1, initial=0.0)
 
 
 def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
@@ -143,7 +145,7 @@ def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
             # Thanks to exact clipping, boundary coordinates sit exactly at 0 or C.
         if sweep_callback is not None:
             sweep_callback(_objective(alpha, h))
-        resid = _violation(alpha, g - 1.0, C)
+        resid = float(_violation(alpha, g - 1.0, C))
         if resid < tol:
             return DualSolution(alpha, _objective(alpha, h), resid)
     raise ConvergenceError(
@@ -154,41 +156,79 @@ def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
 
 def solve_active_set(Q: np.ndarray, y: np.ndarray, C: float, guess: np.ndarray,
                      tol: float = DEFAULT_TOL, rounds: int = ACTIVE_SET_ROUNDS):
-    """Primal-dual active-set solve of the dual; the verified alpha, or None.
+    """The verified dual of one label vector, or None: the one-row case of
+    `solve_active_sets`."""
+    alpha, verified = solve_active_sets(Q, np.asarray(y, dtype=np.float64)[None], C,
+                                        np.asarray(guess, dtype=np.float64)[None], tol, rounds)
+    return alpha[0] if verified[0] else None
 
-    Coordinates where `guess` is <= 0 start at the lower face, those >= C at
-    the upper face and the rest free (Hintermueller, Ito & Kunisch, SIAM J.
+
+def solve_active_sets(Q: np.ndarray, Y: np.ndarray, C: float, guesses: np.ndarray,
+                      tol: float = DEFAULT_TOL, rounds: int = ACTIVE_SET_ROUNDS):
+    """Primal-dual active-set solves of the duals of the label rows of Y.
+
+    Returns (alpha, verified): row i of alpha is the dual of labels Y[i]
+    where verified[i] holds, and zeros elsewhere. In row i, coordinates
+    where guesses[i] is <= 0 start at the lower face, those >= C at the
+    upper face and the rest free (Hintermueller, Ito & Kunisch, SIAM J.
     Optim. 2002). Each round solves the free block h_FF a_F = 1 - C h_FU 1,
-    h = (y y^T) .* Q, as Q_FF b_F = y_F - C Q_FU y_U in b = y * a, and
-    returns a only if it lies in the box and passes the stopping test of
-    `solve_dual`, _violation(a, h a - 1, C) < tol, on a freshly computed
-    gradient; so an accepted dual is as exact as a coordinate-descent one.
-    Otherwise the violators move: a coordinate on a face whose gradient
-    points into the box becomes free, a free one that left the box goes to
-    the face it crossed, and the next round tries that guess. A singular or
-    non-finite free solve, or `rounds` rejected guesses, return None: the
-    caller falls back to `solve_dual`. Q and y are not validated here (build
-    an SvmProblem once for that); y must be +-1.
+    h = (y y^T) .* Q, as Q_FF b_F = y_F - C Q_FU y_U in b = y * a; the rows
+    still pending go into one stacked m x m system, whose free rows and
+    columns hold Q_FF and whose fixed coordinates are identity rows with
+    their fixed b as right-hand side. A row is verified only if it lies in
+    the box and passes the stopping test of `solve_dual`,
+    _violation(a, h a - 1, C) < tol, on a freshly computed gradient; so an
+    accepted dual is as exact as a coordinate-descent one. Otherwise the
+    violators move: a coordinate on a face whose gradient points into the
+    box becomes free, a free one that left the box goes to the face it
+    crossed, and the next round tries that guess. A singular or non-finite
+    free solve, or `rounds` rejected guesses, leave the row unverified: the
+    caller falls back to `solve_dual`. Q and Y are not validated here
+    (build an SvmProblem once for that); Y must be +-1.
     """
-    upper, lower = guess >= C, guess <= 0.0
+    Q = np.asarray(Q, dtype=np.float64)
+    n, m = Y.shape
+    alpha_out, verified = np.zeros((n, m)), np.zeros(n, dtype=bool)
+    rows, upper, lower = np.arange(n), guesses >= C, guesses <= 0.0
     for _ in range(rounds):
-        inside = ~(upper | lower)
-        free = np.flatnonzero(inside)
+        if not rows.size:
+            break
+        y, inside = Y[rows], ~(upper | lower)
         alpha = np.where(upper, C, 0.0)
-        if free.size:
-            try:
-                beta = np.linalg.solve(Q[np.ix_(free, free)], y[free] - Q[free] @ (y * alpha))
-            except np.linalg.LinAlgError:
-                return None
-            if not np.isfinite(beta).all():
-                return None
-            alpha[free] = y[free] * beta
-        grad = y * (Q @ (y * alpha)) - 1.0
-        if alpha.min() >= 0.0 and alpha.max() <= C and _violation(alpha, grad, C) < tol:
-            return alpha
+        fixed = y * alpha
+        system = np.where(inside[:, :, None] & inside[:, None, :], Q, np.eye(m))
+        beta, solved = _solve_stack(system, np.where(inside, y - fixed @ Q.T, fixed))
+        alpha = np.where(inside, y * beta, alpha)
+        grad = y * ((y * alpha) @ Q.T) - 1.0
+        ok = (solved & (alpha.min(axis=1) >= 0.0) & (alpha.max(axis=1) <= C)
+              & (_violation(alpha, grad, C) < tol))
+        alpha_out[rows[ok]], verified[rows[ok]] = alpha[ok], True
         upper, lower = ((upper & (grad <= 0.0)) | (inside & (alpha >= C)),
                         (lower & (grad >= 0.0)) | (inside & (alpha <= 0.0)))
-    return None
+        going = solved & ~ok
+        rows, upper, lower = rows[going], upper[going], lower[going]
+    return alpha_out, verified
+
+
+def _solve_stack(system: np.ndarray, rhs: np.ndarray):
+    """(solutions, mask of the finite ones) of a stack of linear systems.
+
+    One `np.linalg.solve` call serves the whole stack; if any system is
+    singular, the stack is solved again one system at a time. A singular or
+    non-finite row reads zeros and is masked out.
+    """
+    try:
+        x = np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        for i in range(len(rhs)):
+            try:
+                x[i] = np.linalg.solve(system[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    solved = np.isfinite(x).all(axis=1)
+    x[~solved] = 0.0
+    return x, solved
 
 
 def solve_dual_pg(problem: SvmProblem, tol: float = DEFAULT_TOL,
@@ -207,7 +247,7 @@ def solve_dual_pg(problem: SvmProblem, tol: float = DEFAULT_TOL,
         grad = h @ alpha - 1.0
         new = np.clip(alpha - step * grad, 0.0, C)
         alpha = new
-        resid = _violation(alpha, h @ alpha - 1.0, C)
+        resid = float(_violation(alpha, h @ alpha - 1.0, C))
         if resid < tol:
             return DualSolution(alpha, _objective(alpha, h), resid)
     raise ConvergenceError(
@@ -220,14 +260,17 @@ def margins(alpha: np.ndarray, y: np.ndarray, Qcross: np.ndarray) -> np.ndarray:
     """Prediction scores p_t = sum_i y_i a_i Q_ti for the rows of Qcross.
 
     The predicted class is sign(p_t); p_t == 0 has no sign and is treated
-    as a misclassification by every downstream consumer.
+    as a misclassification by every downstream consumer. Given blocks of
+    duals and labels (one leaf per row), it returns one row of scores per
+    leaf, the single product (y .* alpha) Qcross^T.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     q = np.atleast_2d(np.asarray(Qcross, dtype=np.float64))
-    if q.shape[1] != alpha.size or y.size != alpha.size:
+    if q.shape[1] != alpha.shape[-1] or y.shape != alpha.shape or alpha.ndim > 2:
         raise ValueError("margin dimensions disagree")
-    return q @ (y * alpha)
+    signed = y * alpha
+    return q @ signed if signed.ndim == 1 else signed @ q.T
 
 
 def kkt_check(problem: SvmProblem, alpha: np.ndarray, tol: float = 1e-9) -> KktCertificate:

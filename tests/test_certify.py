@@ -35,6 +35,7 @@ from certlab.certify import (
     reduce_multiclass_inexact,
     reduce_samples,
 )
+from certlab.svm import ACTIVE_SET_ROUNDS, _violation
 from conftest import count_solves, random_kernel, random_psd
 
 
@@ -671,6 +672,171 @@ class TestActiveSetLeaves:
         assert len(cd) == stats.cd_fallbacks + unsaturated
         if (kind, C) == ("rank-deficient", 10.0):
             assert stats.cd_fallbacks > 0  # most leaves free more than 2 coordinates
+
+
+def per_leaf_active_set(q, y, C, guess, tol=DEFAULT_TOL, rounds=ACTIVE_SET_ROUNDS):
+    """The one-leaf active-set loop the stacked solve replaced: one free-block
+    solve per round, None on a singular or non-finite solve or after `rounds`."""
+    upper, lower = guess >= C, guess <= 0.0
+    for _ in range(rounds):
+        inside = ~(upper | lower)
+        free = np.flatnonzero(inside)
+        alpha = np.where(upper, C, 0.0)
+        if free.size:
+            try:
+                beta = np.linalg.solve(q[np.ix_(free, free)], y[free] - q[free] @ (y * alpha))
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(beta).all():
+                return None
+            alpha[free] = y[free] * beta
+        grad = y * (q @ (y * alpha)) - 1.0
+        if alpha.min() >= 0.0 and alpha.max() <= C and _violation(alpha, grad, C) < tol:
+            return alpha
+        upper, lower = ((upper & (grad <= 0.0)) | (inside & (alpha >= C)),
+                        (lower & (grad >= 0.0)) | (inside & (alpha <= 0.0)))
+    return None
+
+
+def per_leaf_walk(q, y, C, qcross, r, stats):
+    """The walk the level walk replaced: (flips, margins) one leaf at a time,
+    each child guessed from its parent's dual, else coordinate descent."""
+    pinned = np.full(y.size, C) if saturates(q, C) else None
+    prev = {}
+    for k in range(r + 1):
+        cur = {}
+        for combo in itertools.combinations(range(y.size), k):
+            ytil = y.copy()
+            ytil[list(combo)] *= -1.0
+            alpha0, alpha = prev.get(combo[:-1]), pinned
+            if alpha is None and alpha0 is not None:
+                alpha = per_leaf_active_set(q, ytil, C, alpha0)
+                stats.verified_leaves += alpha is not None
+                stats.cd_fallbacks += alpha is None
+            if alpha is None:
+                alpha = solve_dual(SvmProblem(q, ytil, C), alpha0=alpha0).alpha
+            stats.leaves += 1
+            yield combo, margins(alpha, ytil, qcross)
+            cur[combo] = alpha
+        prev = cur
+
+
+def per_leaf_certificates(leaves, rs):
+    """Per r, the sample-wise (worst, witness) and collective (count, witness)
+    of a per-leaf walk: first extremizers in size-ascending lexicographic order."""
+    out = []
+    for r in rs:
+        kept = [(flips, p) for flips, p in leaves if len(flips) <= r]
+        sign = np.sign(kept[0][1])
+        worst, witness = np.full(sign.size, np.inf), [()] * sign.size
+        count, coll = -1, None
+        for flips, p in kept:
+            for t in np.flatnonzero(sign * p < worst):
+                worst[t], witness[t] = sign[t] * p[t], flips
+            broken = int(np.count_nonzero((sign * p <= 0.0) & (sign != 0.0)))
+            if broken > count:
+                count, coll = broken, flips
+        out.append((np.where(sign == 0.0, 0.0, worst), witness,
+                    count + int(np.sum(sign == 0.0)), coll))
+    return out
+
+
+def chunk_rows(monkeypatch, rows, m, T):
+    """Cap the level walk's chunks at `rows` leaves."""
+    monkeypatch.setattr(certlab.certify, "CHUNK_FLOATS", rows * max(m * m, T))
+
+
+class TestLevelWalk:
+    """The level walk gives the per-leaf walk's leaves, counts and certificates."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "1-row", "3-rows"])
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "zero-diagonal"])
+    @pytest.mark.parametrize("C", [0.05, 1.0, 10.0])
+    def test_matches_per_leaf_walk(self, kind, C, rows, monkeypatch):
+        q, y, qcross = oracle_instance(kind)
+        m, T = y.size, len(qcross)
+        if rows is not None:
+            chunk_rows(monkeypatch, rows, m, T)
+        want_stats, stats = ScanStats(), ScanStats()
+        reference = list(per_leaf_walk(q, y, C, qcross, 4, want_stats))
+        blocks = list(certlab.certify._scan_flips(SvmProblem(q, y, C), qcross, 4, DEFAULT_TOL,
+                                                  DEFAULT_MAX_SWEEPS, stats,
+                                                  saturated=saturates(q, C)))
+        # a rank-2 kernel makes every free block of more than 2 coordinates
+        # singular, and its solve is rounding noise: the two walks may then
+        # verify different leaves and accept different duals, each passing
+        # the stopping test, whose margins agree to the solver's accuracy
+        singular = kind == "rank-deficient" and not saturates(q, C)
+        rel = 1e-9 if singular else 1e-12
+        assert stats.leaves == want_stats.leaves == leaf_count(m, 4)
+        assert stats.verified_leaves + stats.cd_fallbacks == (
+            0 if saturates(q, C) else stats.leaves - 1)
+        if not singular:
+            assert stats == want_stats
+        assert max(len(flips) for flips, _ in blocks) <= (rows or len(reference))
+        flips = [tuple(f) for block, _ in blocks for f in block.tolist()]
+        assert flips == [combo for combo, _ in reference]
+        got, want = np.vstack([P for _, P in blocks]), np.array([p for _, p in reference])
+        assert np.all(np.abs(got - want) <= rel * np.abs(want).max(axis=1, keepdims=True))
+        assert np.array_equal(got[0], want[0])  # the clean leaf is the same cold solve
+
+        budgets = [Budget(k / m, m) for k in range(1, 5)]
+        expected = per_leaf_certificates(reference, [b.r for b in budgets])
+        samples = reduce_samples(q, qcross, y, C, budgets, range(T), **OPTS)
+        collective = reduce_collective(q, qcross, y, C, budgets, range(T), **OPTS)
+        next(samples), next(collective)
+        for (worst, witness, count, coll_witness), certs, coll in zip(expected, samples,
+                                                                     collective):
+            if not saturates(q, C):  # saturated, the sample-wise side is a closed form
+                assert [c.witness for c in certs] == witness
+                assert [c.robust for c in certs] == list(worst > 0.0)
+                np.testing.assert_allclose([c.worst_objective for c in certs], worst,
+                                           rtol=rel, atol=rel * np.abs(want).max())
+            assert (coll.max_misclassified, coll.witness) == (count, coll_witness)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("reduce", [reduce_multiclass_exact, reduce_multiclass_inexact])
+    def test_multiclass_chunks_keep_certificates(self, reduce, rows, monkeypatch):
+        q, labels, qcross = multiclass_instance(82)
+        budgets = [Budget(0.12, 9), Budget(0.23, 9)]  # r = 1, 2
+        assert not saturates(q, 1.0)
+        want = list(itertools.islice(
+            reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **OPTS), 1, None))
+        chunk_rows(monkeypatch, rows, 9, 3 * 4)
+        got = list(itertools.islice(
+            reduce(q, qcross, labels, 3, 1.0, budgets, range(4), **OPTS), 1, None))
+        # a block's product rounds by its row count, so objectives move in the last bits
+        for certs, expected in zip(got, want, strict=True):
+            assert [(c.node, c.robust, c.witness) for c in certs] == [
+                (c.node, c.robust, c.witness) for c in expected]
+            np.testing.assert_allclose([c.worst_objective for c in certs],
+                                       [c.worst_objective for c in expected], rtol=1e-12)
+
+    def test_singular_stack_goes_row_by_row(self, monkeypatch):
+        # two copies of node 0: a chunk whose guesses free both copies holds a
+        # singular free block, so its stacked solve is retried one row at a time
+        rng = np.random.Generator(np.random.Philox(91))
+        base = random_psd(rng, 5, jitter=1.0)
+        keep = [0, 0, 1, 2, 3, 4]
+        q, y = base[np.ix_(keep, keep)], np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+        qcross, C = rng.standard_normal((4, 6)), 10.0
+        calls = []
+        original = np.linalg.solve
+
+        def spy(a, b):
+            calls.append(np.ndim(a))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        want_stats, stats = ScanStats(), ScanStats()
+        reference = list(per_leaf_walk(q, y, C, qcross, 3, want_stats))
+        del calls[:]
+        blocks = list(certlab.certify._scan_flips(SvmProblem(q, y, C), qcross, 3, DEFAULT_TOL,
+                                                  DEFAULT_MAX_SWEEPS, stats))
+        assert 3 in calls and 2 in calls  # a stacked call failed and rows were retried
+        assert stats == want_stats
+        got, want = np.vstack([P for _, P in blocks]), np.array([p for _, p in reference])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
 
 
 class TestKarateCollective:

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import certlab.certify
 import certlab.cli
 from certlab import (CbaParams, CsbmParams, Graph, KernelColumns, load_graph, load_kernel,
                      normalize_features, sample_cba, sample_csbm, save_graph)
-from certlab.certify import leaf_count
+from certlab.certify import CollectiveCertificate, SampleCertificate, leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
 from conftest import count_solves
@@ -251,6 +253,25 @@ class TestConfig:
         assert "config error: invalid dataset" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", [
+        {"output_dir": 5},
+        {"output_dir": None},
+        {"output_dir": ""},
+        {"dataset": {"kind": "file", "path": 0}},
+        {"dataset": {"kind": "file", "path": None}},
+    ], ids=["output-dir-int", "output-dir-null", "output-dir-empty", "path-int", "path-null"])
+    @pytest.mark.parametrize("command", ["certify", "ntk", "validate-ntk"])
+    def test_output_dir_and_path_are_nonempty_strings(self, tmp_path, monkeypatch, capsys,
+                                                       command, override):
+        # an output_dir of 5 used to build every kernel and die in a TypeError,
+        # and a path of 0 read the graph from standard input
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, dict(base_config("out"), **override))
+        assert main([command, "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be a non-empty string" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--seed", "7"],
         ["ntk", "--seed", "7"],
@@ -277,7 +298,7 @@ class TestRun:
     def test_grid_shape_and_header(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out"))
         bundle = run(cfg)
-        lines = open(bundle.metrics_path).read().splitlines()
+        lines = Path(bundle.metrics_path).read_text().splitlines()
         assert lines[0] == ("seed,arch,epsilon,kind,certified_ratio,"
                             "certified_accuracy,clean_accuracy,runtime_ms")
         assert len(lines) == 1 + 2 * 2 * 2  # seeds x archs x epsilons
@@ -297,11 +318,11 @@ class TestRun:
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out"))
         bundle = run(cfg)
-        first = open(bundle.metrics_path, "rb").read()
+        first = Path(bundle.metrics_path).read_bytes()
         replay_cfg = ExperimentConfig.from_dict(
-            json.load(open(bundle.manifest_path)))
+            json.loads(Path(bundle.manifest_path).read_text()))
         bundle2 = run(replay_cfg)
-        assert open(bundle2.metrics_path, "rb").read() == first
+        assert Path(bundle2.metrics_path).read_bytes() == first
 
     def test_plain_rerun_differs_only_in_runtime(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out"))
@@ -327,7 +348,7 @@ class TestRun:
         big = [r for r in rows if r["epsilon"] == "1.0"]
         assert all(r["certified_ratio"] != "nan" for r in small)
         assert all(r["certified_ratio"] == "nan" for r in big)
-        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["errors"]
         assert manifest["error_kinds"] == {key: "CapacityError" for key in manifest["errors"]}
         assert sorted(manifest["errors"]) == [f"s{s}|{a}|e1.0" for s in (0, 1)
@@ -380,7 +401,7 @@ class TestRun:
         assert ([dict(r, runtime_ms=None) for r in direct.rows]
                 == [dict(r, runtime_ms=None) for r in saved.rows])
         for path in ("per_node_path", "witness_path"):
-            assert open(getattr(direct, path)).read() == open(getattr(saved, path)).read()
+            assert Path(getattr(direct, path)).read_text() == Path(getattr(saved, path)).read_text()
 
     @pytest.mark.parametrize("kind", ["multiclass-exact", "multiclass-inexact"])
     def test_two_class_multiclass_is_the_binary_pipeline(self, tmp_path, kind):
@@ -389,8 +410,8 @@ class TestRun:
             tmp_path / cert, seeds=[0], certificate=cert))) for cert in ("sample", kind))
         assert ([dict(r, kind=None, runtime_ms=None) for r in multi.rows]
                 == [dict(r, kind=None, runtime_ms=None) for r in binary.rows])
-        assert open(multi.per_node_path).read() == open(binary.per_node_path).read()
-        assert open(multi.witness_path).read() == open(binary.witness_path).read()
+        assert Path(multi.per_node_path).read_text() == Path(binary.per_node_path).read_text()
+        assert Path(multi.witness_path).read_text() == Path(binary.witness_path).read_text()
 
     @pytest.mark.parametrize("command, certificate", [
         ("certify", "sample"), ("certify", "collective"), ("export", "sample")])
@@ -416,6 +437,62 @@ class TestRun:
         assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 2
         assert "multi-class certification needs at least two classes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestPerNodeRecords:
+    """per_node.json is rendered from one template per record kind, with the
+    bytes json.dump(records, indent=1) writes."""
+
+    @pytest.mark.parametrize("name", ["gcn", "\u00e9"])
+    def test_templates_write_json_dump_bytes(self, tmp_path, name):
+        test = np.array([4, 7, 9])
+        cells = [
+            (0, 0.1, CollectiveCertificate(2, (1, 3), [True, False, True])),
+            (3, 0.25, [SampleCertificate(4, True, 0.25, ()),
+                       SampleCertificate(7, False, -1.5e-17, (0, 5)),
+                       SampleCertificate(9, False, 0.0, (2,))]),
+            (5, 1.0, [SampleCertificate(4, False, -3.0, ((0, 2), (5, 1))),
+                      SampleCertificate(7, True, 1e300, ()),
+                      SampleCertificate(9, False, -0.0, ((3, 3),))]),
+            (7, 0.5, [SampleCertificate(4, False, math.nan, ()),
+                      SampleCertificate(7, True, math.inf, (1,)),
+                      SampleCertificate(9, False, -math.inf, ())]),
+            (8, 0.75, []),  # a cell without records
+        ]
+        records = []
+        for seed, eps, result in cells:
+            if isinstance(result, CollectiveCertificate):
+                fields = [{"node": int(t), "misclassified_under_witness": bool(flag)}
+                          for t, flag in zip(test, result.misclassified)]
+            else:
+                fields = [{"node": c.node, "robust": c.robust,
+                           "worst_objective": c.worst_objective,
+                           "witness": [list(x) if isinstance(x, tuple) else x
+                                       for x in c.witness]} for c in result]
+            records += [{"seed": seed, "arch": name, "epsilon": eps, **f} for f in fields]
+        path = certlab.cli._dump_per_node(
+            [(seed, name, eps, certlab.cli._node_records(test, result))
+             for seed, eps, result in cells], str(tmp_path))
+        assert Path(path).read_text() == json.dumps(records, indent=1) + "\n"
+        certlab.cli._dump_per_node([(1, name, 0.5, [])], str(tmp_path))
+        assert Path(path).read_text() == json.dumps([], indent=1) + "\n"
+
+    @pytest.mark.parametrize("kind", ["sample", "collective"])
+    def test_run_writes_json_dump_bytes(self, tmp_path, kind):
+        archs = [{"name": "g\u00e9", "kind": "gcn", "depth": 1, "conv": "row", "C": 1.0},
+                 {"name": "lin", "kind": "linear", "C": 0.05}]
+        bundle = run(ExperimentConfig.from_dict(
+            base_config(tmp_path / "out", certificate=kind, architectures=archs)))
+        text = Path(bundle.per_node_path).read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert "\\u00e9" in text and len(json.loads(text)) == 2 * 2 * 2 * 5
+
+    def test_multiclass_run_writes_json_dump_bytes(self, tmp_path):
+        bundle = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path)))
+        text = Path(bundle.per_node_path).read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert any(r["witness"] and isinstance(r["witness"][0], list)
+                   for r in json.loads(text))
 
 
 def three_class_graph(path, per_class=5, labeled_per_class=2):
@@ -461,7 +538,7 @@ class TestOneScanPerUnit:
         bundle = run(ExperimentConfig.from_dict(multiclass_grid_config(tmp_path)))
         assert saturated and not any(saturated)  # every scan solves leaf QPs
         assert len(bundle.rows) == 2 and not bundle.manifest["errors"]
-        assert len(json.load(open(bundle.per_node_path))) == 2 * 4
+        assert len(json.loads(Path(bundle.per_node_path).read_text())) == 2 * 4
         # one solve per flip set of the largest budget (m=6, r=2) in each of the
         # K one-vs-all scans, shared by every relabeling, test node and epsilon
         assert len(calls) == 3 * leaf_count(6, 2)
@@ -481,9 +558,9 @@ class TestOneScanPerUnit:
             assert unit["closed_form_rows"] == (5 * 2 if pinned else 0)
             children = unit["verified_leaves"] + unit["cd_fallbacks"]
             assert children == (0 if pinned else unit["leaves"] - 1)
-        first = open(bundle.manifest_path, "rb").read()
-        replay = run(ExperimentConfig.from_dict(json.load(open(bundle.manifest_path))))
-        assert open(replay.manifest_path, "rb").read() == first
+        first = Path(bundle.manifest_path).read_bytes()
+        replay = run(ExperimentConfig.from_dict(json.loads(Path(bundle.manifest_path).read_text())))
+        assert Path(replay.manifest_path).read_bytes() == first
 
     @pytest.mark.parametrize("kind", ["multiclass-exact", "multiclass-inexact"])
     def test_multiclass_convergence_error_keeps_smaller_budget(self, tmp_path, monkeypatch,
@@ -500,12 +577,13 @@ class TestOneScanPerUnit:
         science = ("certified_ratio", "certified_accuracy", "clean_accuracy")
         assert [rows[0][k] for k in science] == [repr(clean.rows[0][k]) for k in science]
         assert [rows[1][k] for k in science] == ["nan"] * 3
-        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["errors"] == {"s0|gcn|e0.34": "injected non-convergence"}
         assert manifest["error_kinds"] == {"s0|gcn|e0.34": "ConvergenceError"}
-        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
+        witnesses = json.loads((tmp_path / "out" / "witnesses.json").read_text())
         assert list(witnesses) == ["s0|gcn|e0.17"]
-        assert witnesses["s0|gcn|e0.17"] == json.load(open(clean.witness_path))["s0|gcn|e0.17"]
+        want = json.loads(Path(clean.witness_path).read_text())
+        assert witnesses["s0|gcn|e0.17"] == want["s0|gcn|e0.17"]
 
     @pytest.mark.parametrize("kind, answered, leaves", [
         # relabelings per eps: 13 (r=1), 73 (r=2), 233 (r=3); K scans walk r=1
@@ -520,7 +598,7 @@ class TestOneScanPerUnit:
         cfg = dict(multiclass_grid_config(tmp_path), certificate=kind, epsilons=epsilons,
                    capacity=30)
         assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 3
-        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["stats"]["s0|gcn"]["leaves"] == leaves
         # every eps past the first over-cap one shares its error
         first_over = leaf_count(6, answered + 1, 3 if kind == "multiclass-exact" else 2)
@@ -535,8 +613,8 @@ class TestOneScanPerUnit:
         assert [[r[k] for k in science] for r in rows] == (
             [[repr(r[k]) for k in science] for r in clean.rows[:answered]]
             + [["nan"] * 3] * (len(epsilons) - answered))
-        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
-        want = json.load(open(clean.witness_path))
+        witnesses = json.loads((tmp_path / "out" / "witnesses.json").read_text())
+        want = json.loads(Path(clean.witness_path).read_text())
         assert witnesses == {f"s0|gcn|e{eps}": want[f"s0|gcn|e{eps}"]
                              for eps in epsilons[:answered]}
 
@@ -556,7 +634,7 @@ class TestOneScanPerUnit:
         assert saturated and all(saturated)
         with open(tmp_path / "out" / "metrics.csv") as fh:
             rows = {r["epsilon"]: r for r in csv.DictReader(fh)}
-        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         finite = [eps for eps, r in rows.items() if r["certified_ratio"] != "nan"]
         if kind == "collective":
             assert rc == 3 and finite == ["0.17"]
@@ -593,10 +671,10 @@ class TestOneScanPerUnit:
         assert failed.pop(("0", "gcn", "0.5")) == ("nan",) * 3
         assert "nan" not in clean.pop(("0", "gcn", "0.5"))
         assert failed == clean  # every other cell, s0|gcn|e0.2 included
-        manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["errors"] == {"s0|gcn|e0.5": "injected non-convergence"}
         assert manifest["error_kinds"] == {"s0|gcn|e0.5": "ConvergenceError"}
-        witnesses = json.load(open(tmp_path / "out" / "witnesses.json"))
+        witnesses = json.loads((tmp_path / "out" / "witnesses.json").read_text())
         assert "s0|gcn|e0.2" in witnesses and "s0|gcn|e0.5" not in witnesses
 
 
@@ -632,7 +710,7 @@ def full_kernel_columns(monkeypatch):
 def mps_numbers(path):
     """The words and the numbers of an MPS file, apart."""
     words, numbers = [], []
-    for token in open(path).read().split():
+    for token in Path(path).read_text().split():
         try:
             numbers.append(float(token))
         except ValueError:
@@ -655,14 +733,15 @@ class TestColumnKernels:
             outs[out] = tmp_path / out
         a, b = outs["columns"], outs["full"]
         rows = [[{k: v for k, v in r.items() if k != "runtime_ms"}
-                 for r in csv.DictReader(open(d / "metrics.csv"))] for d in (a, b)]
+                 for r in csv.DictReader((d / "metrics.csv").read_text().splitlines())]
+                for d in (a, b)]
         assert rows[0] == rows[1]
         # an export's witnesses list the files it wrote, under its own directory
         witnesses = (a / "witnesses.json").read_text().replace(str(a), str(b))
         assert witnesses == (b / "witnesses.json").read_text()
-        stats = [json.load(open(d / "manifest.json"))["stats"] for d in (a, b)]
+        stats = [json.loads((d / "manifest.json").read_text())["stats"] for d in (a, b)]
         assert stats[0] == stats[1]
-        records = [json.load(open(d / "per_node.json")) for d in (a, b)]
+        records = [json.loads((d / "per_node.json").read_text()) for d in (a, b)]
         assert len(records[0]) == len(records[1])
         for ra, rb in zip(*records):
             worst = ra.pop("worst_objective", None), rb.pop("worst_objective", None)
@@ -751,7 +830,7 @@ class TestSubcommands:
         assert len(mps) == 5  # one per (node, epsilon)
         assert all(os.path.exists(tmp_path / "out" / "exports" / (f + ".meta.json"))
                    for f in mps)
-        lines = open(tmp_path / "out" / "metrics.csv").read().splitlines()
+        lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1  # header only, no metric rows
 
     def test_export_collective_one_model_per_eps(self, tmp_path):
@@ -868,7 +947,7 @@ class TestReport:
                           architectures=[{"name": "lin", "kind": "linear", "C": 0.05}])
         run(ExperimentConfig.from_dict(cfg))
         paths = report(str(tmp_path / "out"))
-        deltas = open(paths["plateau_deltas"]).read().splitlines()
+        deltas = Path(paths["plateau_deltas"]).read_text().splitlines()
         assert len(deltas) == 2  # header + one row
 
     def test_cli_report(self, tmp_path):

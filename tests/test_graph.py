@@ -19,6 +19,7 @@ from certlab import (
     sample_csbm,
     save_graph,
 )
+import certlab.graph as graph_module
 from certlab.graph import feature_dim
 
 
@@ -215,6 +216,47 @@ class TestCba:
             cba_max.append(g1.adjacency.sum(axis=1).max())
             csbm_max.append(g2.adjacency.sum(axis=1).max())
         assert np.mean(cba_max) > np.mean(csbm_max) + 2.0
+
+
+def choice_cba(params):
+    """(adjacency, features, labels, labeled) of `sample_cba`, drawing each
+    node's neighbors with Generator.choice as the sampler used to."""
+    rng = graph_module.make_rng(params.seed)
+    n, w = params.n, np.asarray(params.affinity, dtype=np.float64)
+    labels = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int64)
+    features = graph_module._binary_features(rng, labels, feature_dim(n), params.sigma,
+                                             params.signal_scale)
+    adjacency, degree = np.zeros((n, n)), np.zeros(n)
+
+    def add_edge(i, j):
+        if adjacency[i, j] == 0.0:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+            degree[i] += 1
+            degree[j] += 1
+
+    add_edge(1, 0)
+    for i in range(2, n):
+        weights = (1.0 + degree[:i]) * w[labels[i] - 1, labels[:i] - 1]
+        for j in rng.choice(i, size=params.deg, replace=True, p=weights / weights.sum()):
+            add_edge(i, int(j))
+    labeled = graph_module._stratified_labeled(rng, labels, params.labeled_per_class, 2)
+    return adjacency, features, labels, labeled
+
+
+class TestCbaDraws:
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"deg": 4, "affinity": ((1.0, 3.0), (0.5, 2.0))},
+    ], ids=["defaults", "deg4-skewed"])
+    def test_same_graph_as_generator_choice(self, extra):
+        for seed in range(60):
+            params = CbaParams(n=80, labeled_per_class=4, seed=seed, **extra)
+            g = sample_cba(params)
+            adjacency, features, labels, labeled = choice_cba(params)
+            assert np.array_equal(g.adjacency, adjacency)
+            assert np.array_equal(g.features, features)
+            assert np.array_equal(g.labels, labels)
+            assert np.array_equal(g.labeled, labeled)
 
 
 class TestGraphIO:

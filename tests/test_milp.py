@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+from pathlib import Path
 import re
 
 import numpy as np
@@ -296,7 +297,7 @@ class TestWriters:
                                  C=1.0, epsilon=1.0, sign_phat=1, node=0)
         path = tmp_path / "m1.mps"
         write_mps(model, path)
-        golden = open(os.path.join(HERE, "data", "golden_m1.mps"), "rb").read()
+        golden = Path(HERE, "data", "golden_m1.mps").read_bytes()
         assert path.read_bytes() == golden
 
     def test_mps_layout(self, tmp_path):

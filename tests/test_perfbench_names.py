@@ -50,7 +50,8 @@ def collective_config(tmp_path):
 def test_tracer_wraps_a_certify_run(tmp_path, monkeypatch):
     tracing = load_tracing(monkeypatch)
     path = collective_config(tmp_path)
-    solves = count_solves(monkeypatch)
+    chunks = []
+    solves = count_solves(monkeypatch, chunks=chunks)
     tracer = tracing.Tracer()
     tracer.install(certlab.cli, certlab.certify)
     try:
@@ -65,8 +66,10 @@ def test_tracer_wraps_a_certify_run(tmp_path, monkeypatch):
     assert metrics["cli.cells"] == 1 and metrics["cli.cells_failed"] == 0
     assert metrics["cli.run_s"] > 0.0 and metrics["graph.calls"] == 1
     assert metrics["ntk.analytic_calls"] == 1 and metrics["cli.workers"] == 1
-    # one margins product per leaf; the clean leaf is the one traced CD solve
-    assert metrics["svm.margins_calls"] == len(solves) > 1
+    # one margins product per chunk of leaves, the clean leaf's included;
+    # the clean leaf is the one traced CD solve
+    assert metrics["svm.margins_calls"] == len(chunks) > 1
+    assert sum(chunks) == len(solves) > len(chunks)
     assert metrics["svm.qp_solves.certify"] >= 1
 
 

@@ -9,6 +9,7 @@ from certlab import (
     one_vs_all_split,
     saturates,
     solve_active_set,
+    solve_active_sets,
     solve_dual,
     solve_dual_pg,
 )
@@ -167,6 +168,25 @@ class TestActiveSet:
         alpha = solve_active_set(q, y, 1.0, np.full(5, 1.0))
         assert alpha[0] == 1.0
         np.testing.assert_allclose(alpha, solve_dual(SvmProblem(q, y, 1.0)).alpha, atol=1e-9)
+
+    def test_singular_row_is_solved_apart_from_the_stack(self, monkeypatch):
+        # the first guess frees coordinate 0, whose kernel row is zero, so the
+        # stacked solve fails and each row is solved on its own
+        q = random_kernel(np.random.Generator(np.random.Philox(32)), 5, "zero-diagonal")
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        optimum = solve_dual(SvmProblem(q, y, 1.0)).alpha
+        calls, original = [], np.linalg.solve
+
+        def spy(a, b):
+            calls.append(np.ndim(a))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        alpha, verified = solve_active_sets(q, np.vstack([y, y]), 1.0,
+                                            np.vstack([np.full(5, 0.5), optimum]))
+        assert calls == [3, 2, 2] and verified.tolist() == [False, True]
+        assert np.all(alpha[0] == 0.0)
+        np.testing.assert_allclose(alpha[1], optimum, atol=1e-9)
 
     def test_one_round_verifies_only_the_right_guess(self):
         rng = np.random.Generator(np.random.Philox(33))
