@@ -22,7 +22,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -102,27 +103,37 @@ def _nonempty_str(value) -> bool:
     return isinstance(value, str) and value != ""
 
 
-# config fields with a dataclass default, and how a JSON value converts to them
-OPTIONAL_FIELDS = {"capacity": _integer, "tol": _number, "max_sweeps": _integer,
-                   "export_model": str, "widths": lambda w: tuple(map(_integer, w)),
-                   "nt_samples": _integer, "threshold": _number, "width_seed": _integer}
-# the same for the dataset keys of each generator, and the architecture keys
-# of ArchitectureSpec; a key the config leaves out keeps the dataclass default
-_GRAPH_FIELDS = {"n": _integer, "sigma": _number, "signal_scale": _number,
-                 "labeled_per_class": _integer}
-GENERATORS = {
-    "csbm": (sample_csbm, CsbmParams, dict(_GRAPH_FIELDS, p=_number, q=_number)),
-    "cba": (sample_cba, CbaParams, dict(_GRAPH_FIELDS, deg=_integer, affinity=lambda w: tuple(
-        tuple(map(_number, row)) for row in w))),
+# each annotation a config dataclass field carries, and how a JSON value converts to it
+CONVERTERS = {
+    "int": _integer, "int | None": _integer, "list[int]": lambda v: [_integer(x) for x in v],
+    "tuple[int, ...]": lambda v: tuple(map(_integer, v)),
+    "float": _number, "float | None": _number, "list[float]": lambda v: [_number(x) for x in v],
+    "tuple[tuple[float, float], tuple[float, float]]":  # CbaParams.affinity
+        lambda w: tuple(tuple(map(_number, row)) for row in w),
+    "dict": dict, "list[dict]": lambda v: [dict(a) for a in v],
+    "str": lambda v: v, "dict | str": lambda v: v,  # `validate` checks these
 }
-ARCH_FIELDS = {"depth": _integer, "alpha": _number, "power_k": _integer,
-               "skip_activation": None, "activation": None}
+GENERATORS = {"csbm": (sample_csbm, CsbmParams), "cba": (sample_cba, CbaParams)}
+ARCH_KEYS = ("name", "C", "conv", "beta")  # the architecture keys `cli` reads itself
 
 
-def _given(doc: dict, fields: dict) -> dict:
-    """The keys of `doc` that `fields` names, each through its converter (None: as is)."""
-    return {name: doc[name] if convert is None else convert(doc[name])
-            for name, convert in fields.items() if name in doc}
+def _section(what: str, cls, doc: dict, own=()) -> dict:
+    """Each key of config section `doc` converted by the annotation of the `cls` field it
+    fills; `cli` reads the keys in `own` itself. Any other key, or a value its converter
+    refuses, is a config error `invalid {what}: ...`. A field left out keeps its default."""
+    types = {f.name: f.type for f in fields(cls) if f.name not in own} if cls else {}
+    try:
+        if unknown := [key for key in doc if key not in types and key not in own]:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+        return {key: CONVERTERS[types[key]](value) for key, value in doc.items() if key in types}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _graph_params(ds: dict) -> dict:
+    """The generator parameters of a dataset; `seed` is ignored: grid seeds seed graphs."""
+    own = ("kind", "normalize_features", "seed", *(("path",) if ds["kind"] == "file" else ()))
+    return _section(f"dataset {ds}", GENERATORS.get(ds["kind"], (None, None))[1], ds, own)
 
 
 @dataclass
@@ -130,19 +141,19 @@ class ExperimentConfig:
     dataset: dict
     architectures: list[dict]
     epsilons: list[float]
-    certificate: str
-    test_nodes: object
-    seeds: list[int]
-    output_dir: str
+    certificate: str = "sample"
+    test_nodes: dict | str = "all-unlabeled"
+    seeds: list[int] = field(default_factory=lambda: [0])
+    output_dir: str = "certlab_out"
     capacity: int = DEFAULT_CAPACITY
     tol: float = DEFAULT_TOL
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     export_model: str = "sample"
-    widths: tuple = (256, 1024, 4096)
+    widths: tuple[int, ...] = (256, 1024, 4096)
     nt_samples: int = 20
     threshold: float = 0.05
     width_seed: int = 0
-    replay_timings: dict | None = None
+    replay_timings = None  # a manifest's cell timings: not a field, so not a config key
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -159,17 +170,8 @@ class ExperimentConfig:
                 raise ConfigError("invalid manifest: timings must be finite numbers >= 0")
             doc = doc["config"]
         try:
-            cfg = cls(
-                dataset=dict(doc["dataset"]),
-                architectures=[dict(a) for a in doc["architectures"]],
-                epsilons=[_number(e) for e in doc["epsilons"]],
-                certificate=doc.get("certificate", "sample"),
-                test_nodes=doc.get("test_nodes", "all-unlabeled"),
-                seeds=[_integer(s) for s in doc.get("seeds", [0])],
-                output_dir=doc.get("output_dir", "certlab_out"),
-                replay_timings=timings,
-                **_given(doc, OPTIONAL_FIELDS),
-            )
+            cfg = cls(**_section("experiment config", cls, doc))
+            cfg.replay_timings = timings
             cfg.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -195,17 +197,21 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be a non-empty string")
         if type(self.dataset.get("normalize_features", False)) is not bool:
             raise ConfigError("dataset.normalize_features must be true or false")
+        _graph_params(self.dataset)
         if not self.architectures:
             raise ConfigError("need at least one architecture")
+        for arch in self.architectures:
+            _section(f"architecture {arch}", ArchitectureSpec, arch, ARCH_KEYS)
+            if not _nonempty_str(arch.get("name", arch.get("kind"))):
+                raise ConfigError(f"invalid architecture {arch}: name must be a non-empty string")
+            if not 0.0 < _number(arch.get("C", 0.0)) < math.inf:  # NaN fails too
+                raise ConfigError(f"architecture {arch} needs a finite C > 0")
         names = [self.arch_name(i) for i in range(len(self.architectures))]
         if len(set(names)) != len(names):
             raise ConfigError("architecture names collide; add distinct 'name' fields")
         if any(set(name) & set(NAME_FORBIDDEN) for name in names):
             raise ConfigError("architecture names must not contain a comma, a double "
                               "quote, a line break or a path separator")
-        for arch in self.architectures:
-            if not 0.0 < _number(arch.get("C", 0.0)) < math.inf:  # NaN fails too
-                raise ConfigError(f"architecture {arch} needs a finite C > 0")
         if not self.epsilons:
             raise ConfigError("need a non-empty epsilon grid")
         if any(not 0.0 < e <= 1.0 for e in self.epsilons):
@@ -220,10 +226,10 @@ class ExperimentConfig:
         if isinstance(self.test_nodes, str):
             if self.test_nodes != "all-unlabeled":
                 raise ConfigError("test_nodes must be 'all-unlabeled' or a sample spec")
-        elif not (isinstance(self.test_nodes, dict)
+        elif not (isinstance(self.test_nodes, dict) and self.test_nodes.keys() <= {"sample", "seed"}
                   and _integer(self.test_nodes.get("sample")) >= 1):
             raise ConfigError("test_nodes must be 'all-unlabeled' or {'sample': k, 'seed': s} "
-                              "with integers k >= 1 and s")
+                              f"with integers k >= 1 and s, not {self.test_nodes!r}")
         else:
             seed_fields.append(_integer(self.test_nodes.get("seed", 0)))
         if not self.seeds:
@@ -244,7 +250,7 @@ class ExperimentConfig:
             raise ConfigError("threshold must be finite and >= 0")
 
     def arch_name(self, index: int) -> str:
-        return str(self.architectures[index].get("name", self.architectures[index]["kind"]))
+        return self.architectures[index].get("name", self.architectures[index]["kind"])
 
     def select(self, seed_filter=None, arch_filter=None, eps_filter=None):
         """The seeds, (name, arch) pairs and epsilons the filters keep, in
@@ -256,11 +262,6 @@ class ExperimentConfig:
         if not (seeds and archs and epsilons):
             raise ConfigError("filters removed every grid cell")
         return seeds, archs, epsilons
-
-    def resolved(self) -> dict:
-        doc = asdict(self)
-        del doc["replay_timings"]
-        return doc
 
 
 @dataclass
@@ -283,8 +284,8 @@ def make_graph(config: ExperimentConfig, seed: int) -> Graph:
         elif ds["kind"] == "karate":
             graph = karate_club()
         else:
-            sample, params, fields = GENERATORS[ds["kind"]]
-            graph = sample(params(seed=seed, **_given(ds, fields)))
+            sample, params = GENERATORS[ds["kind"]]
+            graph = sample(params(seed=seed, **_graph_params(ds)))
     except (KeyError, TypeError, ValueError, OSError, GraphFormatError) as exc:
         raise ConfigError(f"invalid dataset {ds}: {exc}") from exc
     if ds.get("normalize_features", False):
@@ -294,12 +295,13 @@ def make_graph(config: ExperimentConfig, seed: int) -> Graph:
 
 def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
     try:
-        kind = arch["kind"]
-        conv = None
-        if kind not in ("mlp", "linear"):
-            conv = normalize_adjacency(graph, arch.get("conv", "row"),
-                                       **_given(arch, {"beta": _number}))
-        return ArchitectureSpec(kind=kind, conv=conv, **_given(arch, ARCH_FIELDS))
+        params, conv = _section(f"architecture {arch}", ArchitectureSpec, arch, ARCH_KEYS), None
+        if params.get("kind") not in ("mlp", "linear"):
+            beta = [_number(arch["beta"])] if "beta" in arch else []  # else its default
+            conv = normalize_adjacency(graph, arch.get("conv", "row"), *beta)
+        elif "conv" in arch or "beta" in arch:
+            raise ValueError(f"{params['kind']} reads no conv or beta")
+        return ArchitectureSpec(conv=conv, **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid architecture {arch}: {exc}") from exc
 
@@ -398,7 +400,8 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, sta
     from the start of the unit, and counts the reducer's leaves and closed-form
     rows into `stats` (an export counts none). A CertlabError out of the
     reducer (a capacity limit or a failed solve) is the error of every
-    epsilon without a result yet.
+    epsilon without a result yet. `graph` holds only the graph's `labels`,
+    `labeled` and `num_classes`.
     """
     start = time.perf_counter()
     Qtrain, Qcross = kernel.Q[graph.labeled], kernel.Q[test]  # its columns are graph.labeled
@@ -503,7 +506,10 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
             raise ConfigError("binary certification needs a two-class graph")
         elif graph.num_classes < 2:
             raise ConfigError("multi-class certification needs at least two classes")
-        units += [(seed, graph, test, kind, name, arch,
+        # a cell reads only these fields of the graph, not its n x n adjacency
+        held = SimpleNamespace(labels=graph.labels, labeled=graph.labeled,
+                               num_classes=graph.num_classes)
+        units += [(seed, held, test, kind, name, arch,
                    ntk_analytic(make_arch_spec(arch, graph), graph, columns=graph.labeled))
                   for name, arch in archs]
     os.makedirs(config.output_dir, exist_ok=True)
@@ -531,7 +537,7 @@ def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
     per_node_path = _dump_per_node(per_node_cells, config.output_dir)
     witness_path = _dump_json(witness_all, config.output_dir, "witnesses.json")
     manifest = {
-        "config": config.resolved(),
+        "config": asdict(config),
         "versions": {
             "certlab": __version__,
             "numpy": np.__version__,

@@ -82,6 +82,11 @@ class ArchitectureSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
+        # a parameter no step of the kind reads would only mislabel the kernel
+        if self.alpha is not None and self.kind not in ("ppnp", "appnp", "skip_alpha"):
+            raise ValueError(f"{self.kind} reads no alpha")
+        if self.power_k is not None and self.kind != "appnp":
+            raise ValueError(f"{self.kind} reads no power_k")
         if self.kind == "linear":
             return
         min_depth = 0 if self.kind == "mlp" else 1

@@ -1,7 +1,10 @@
 import csv
+import importlib.util
 import json
 import math
 import os
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,8 @@ import pytest
 
 import certlab.certify
 import certlab.cli
-from certlab import (CbaParams, CsbmParams, Graph, KernelColumns, load_graph, load_kernel,
-                     normalize_features, sample_cba, sample_csbm, save_graph)
+from certlab import (ArchitectureSpec, CbaParams, CsbmParams, Graph, KernelColumns, load_graph,
+                     load_kernel, normalize_features, sample_cba, sample_csbm, save_graph)
 from certlab.certify import CollectiveCertificate, SampleCertificate, leaf_count
 from certlab.cli import ExperimentConfig, main, report, run, validate_ntk
 from certlab.errors import ConfigError
@@ -33,6 +36,25 @@ def base_config(out_dir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def load_workloads():
+    """perfbench/workloads.py, which writes the benchmark's configs, loaded from its file."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up while they are made
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+WORKLOADS = load_workloads()
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -220,6 +242,11 @@ class TestConfig:
         {"kind": "gcn", "depth": True},
         {"kind": "appnp", "alpha": 0.1, "power_k": 10.0},
         {"kind": "appnp", "alpha": 0.1, "power_k": True},
+        # a parameter no step of the kind reads used to be kept or dropped silently
+        {"kind": "gcn", "alpha": 0.3},
+        {"kind": "sgc", "power_k": 3},
+        {"kind": "mlp", "conv": "row"},
+        {"kind": "mlp", "beta": 2.0},
     ])
     def test_malformed_architecture_is_config_error(self, tmp_path, capsys, command, arch):
         cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
@@ -292,6 +319,98 @@ class TestConfig:
                           test_nodes="all-unlabeled", seeds=[0])
         assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: the graph has no unlabeled node" in capsys.readouterr().err
+
+
+COMMANDS = ["gen", "ntk", "certify", "export", "validate-ntk", "report"]
+
+
+class TestConfigKeys:
+    """A config key is a field of the dataclass that holds it, or one `cli` reads itself."""
+
+    @pytest.mark.parametrize("override, key, message", [
+        ({"capcity": 5}, "capcity", "invalid experiment config"),
+        ({"epsilon": [0.5]}, "epsilon", "invalid experiment config"),
+        ({"replay_timings": {"s0|gcn|e0.2": 1.0}}, "replay_timings", "invalid experiment config"),
+        ({"timings": {}}, "timings", "invalid experiment config"),
+        ({"dataset": {"kind": "csbm", "n": 24, "labeled_per_clas": 3}}, "labeled_per_clas",
+         "invalid dataset"),
+        ({"dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3, "path": "g.json"}},
+         "path", "invalid dataset"),
+        ({"dataset": {"kind": "cba", "n": 24, "labeled_per_class": 3, "p": 0.3}}, "p",
+         "invalid dataset"),
+        ({"dataset": {"kind": "karate", "n": 50}}, "n", "invalid dataset"),
+        ({"dataset": {"kind": "file", "path": "../graph.json", "labeled_per_class": 2}},
+         "labeled_per_class", "invalid dataset"),
+        ({"architectures": [{"name": "gcn", "kind": "gcn", "actvation": "linear", "dept": 3,
+                             "C": 0.05}]}, "actvation', 'dept", "invalid architecture"),
+        ({"architectures": [{"name": "mlp", "kind": "mlp", "width": 64, "C": 0.05}]}, "width",
+         "invalid architecture"),
+        ({"test_nodes": {"sample": 5, "sed": 3}}, "sed", "test_nodes must be"),
+    ], ids=["top-capcity", "top-epsilon", "top-replay-timings", "top-timings", "csbm-misspelled",
+            "csbm-path", "cba-p", "karate-n", "file-labeled", "arch-misspelled", "arch-width",
+            "test-nodes"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_is_config_error(self, tmp_path, monkeypatch, capsys, command, override,
+                                         key, message):
+        # each of these used to be accepted and ignored
+        save_graph(sample_csbm(CsbmParams(n=24, labeled_per_class=3)), tmp_path / "graph.json")
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        write_config(tmp_path / "run", base_config("out", **override))
+        assert main([command, "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and f"'{key}'" in err
+        assert os.listdir(tmp_path / "run") == ["cfg.json"]
+
+    @pytest.mark.parametrize("name", [None, "", 7, [1]], ids=["null", "empty", "int", "list"])
+    @pytest.mark.parametrize("command", ["certify", "gen"])
+    def test_architecture_name_is_a_nonempty_string(self, tmp_path, capsys, command, name):
+        # null named the architecture "None", "" wrote an empty arch column,
+        # and 7 or [1] went into file names as "7" or "[1]"
+        cfg = base_config(tmp_path / "out", seeds=[0])
+        cfg["architectures"][0]["name"] = name
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: invalid architecture" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # validate-ntk rejects any linear architecture first, so these run apart from
+    # test_malformed_architecture_is_config_error
+    @pytest.mark.parametrize("arch", [
+        {"kind": "linear", "conv": "row"},
+        {"kind": "linear", "beta": 2.0},
+        {"kind": "linear", "alpha": 0.3},
+        {"kind": "mlp", "power_k": 3},
+    ])
+    @pytest.mark.parametrize("command", ["certify", "export", "ntk"])
+    def test_parameter_the_kind_does_not_read_is_config_error(self, tmp_path, capsys, command,
+                                                              arch):
+        cfg = base_config(tmp_path / "out", seeds=[0], architectures=[dict(arch, C=0.05)])
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: invalid architecture" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workload", WORKLOADS.NAMES)
+    def test_benchmark_configs_load(self, tmp_path, workload):
+        for command in WORKLOADS.build(workload, 0, str(tmp_path)).commands:
+            ExperimentConfig.from_file(tmp_path / command.config)
+
+    def test_readme_example_config_loads(self):
+        example = README.split("Example config:", 1)[1].split("```json", 1)[1].split("```")[0]
+        ExperimentConfig.from_dict(json.loads(example))
+
+    def test_manifest_and_dataset_seed_load(self, tmp_path):
+        cfg = base_config(tmp_path / "out", seeds=[0], dataset={"kind": "csbm", "n": 24,
+                                                                "labeled_per_class": 3, "seed": 9})
+        bundle = run(ExperimentConfig.from_dict(cfg))
+        replay = ExperimentConfig.from_file(bundle.manifest_path)
+        assert replay == ExperimentConfig.from_dict(cfg)
+        assert replay.replay_timings == bundle.manifest["timings"]
+
+    def test_readme_names_every_config_field(self):
+        keys = [f.name for cls, own in [(ExperimentConfig, ()), (CsbmParams, ("seed",)),
+                                        (CbaParams, ("seed",)), (ArchitectureSpec, ("conv",))]
+                for f in fields(cls) if f.name not in own]
+        assert [key for key in keys if f"`{key}`" not in README] == []
 
 
 class TestRun:
@@ -766,7 +885,7 @@ class TestColumnKernels:
             return built[-1]
 
         def recorded_cell(config, graph, kernel, *args):
-            held.append((graph.n, graph.labeled.size, kernel))
+            held.append((graph.labels.size, graph.labeled.size, kernel))
             return run_cell(config, graph, kernel, *args)
 
         monkeypatch.setattr(certlab.cli, "ntk_analytic", recorded_ntk)
@@ -778,6 +897,20 @@ class TestColumnKernels:
         for n, m, kernel in held:
             assert isinstance(kernel, KernelColumns) and kernel.Q.shape == (n, m)
         assert not any(k.Q.shape == (n, n) for k in built for n, _, _ in held)
+
+    def test_units_hold_no_graph_matrix(self, tmp_path, monkeypatch):
+        # a unit outlives its kernel build, so its graph must not keep the
+        # n x n adjacency or the features alive until the end of the run
+        held, run_cell = [], certlab.cli._run_cell
+
+        def recorded_cell(config, graph, *args):
+            held.append(graph)
+            return run_cell(config, graph, *args)
+
+        monkeypatch.setattr(certlab.cli, "_run_cell", recorded_cell)
+        path = write_config(tmp_path, column_grid_config(tmp_path, "sample", "out"))
+        assert main(["certify", "--config", path]) == 0
+        assert held and not any(hasattr(g, "adjacency") or hasattr(g, "features") for g in held)
 
 
 class TestSubcommands:

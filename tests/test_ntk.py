@@ -316,6 +316,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="power_k"):
             ArchitectureSpec("appnp", 1, conv=small_conv, alpha=0.5)
 
+    @pytest.mark.parametrize("kind, given", [
+        ("gcn", {"alpha": 0.3}), ("sgc", {"alpha": 0.3}), ("skip_pc", {"alpha": 0.3}),
+        ("ppnp", {"alpha": 0.2, "power_k": 3}), ("skip_alpha", {"alpha": 0.2, "power_k": 3}),
+        ("gcn", {"power_k": 3}), ("mlp", {"alpha": 0.3}), ("linear", {"alpha": 0.3}),
+        ("linear", {"power_k": 3}),
+    ])
+    def test_parameter_the_kind_does_not_read(self, small_conv, kind, given):
+        # before, a gcn with alpha=0.3 built a plain gcn kernel whose source read alpha=0.3
+        conv = None if kind in ("mlp", "linear") else small_conv
+        with pytest.raises(ValueError, match=f"{kind} reads no {list(given)[-1]}"):
+            ArchitectureSpec(kind, 1, conv=conv, **given)
+
     def test_conv_required(self):
         with pytest.raises(ValueError, match="convolution"):
             ArchitectureSpec("gcn", 1)
