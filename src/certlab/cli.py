@@ -54,10 +54,8 @@ from .graph import (
     sample_csbm,
     save_graph,
 )
-from .milp import (SamplewiseBlock, build_collective, build_samplewise_node, write_lp,
-                   write_mps)
-from .ntk import (ArchitectureSpec, check_width, kernel_to_csv, ntk_analytic, ntk_empirical,
-                  save_kernel)
+from .ntk import (READS, ArchitectureSpec, check_width, kernel_to_csv, ntk_analytic,
+                  ntk_empirical, save_kernel)
 from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
@@ -128,6 +126,29 @@ def _section(what: str, cls, doc: dict, own=()) -> dict:
         return {key: CONVERTERS[types[key]](value) for key, value in doc.items() if key in types}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _arch_params(arch: dict) -> dict:
+    """The `ArchitectureSpec` parameters of a config architecture. A key its kind never
+    reads (see `ntk.READS`; `conv` and `beta` go with the convolution kinds) is a config
+    error whatever its value, and so are a `conv` other than row or sym and a `beta` that
+    is not a finite number > 0."""
+    what = f"architecture {arch}"
+    params = _section(what, ArchitectureSpec, arch, ARCH_KEYS)
+    try:
+        reads = READS.get(params.get("kind"))
+        if reads is None:
+            raise ValueError(f"unknown architecture kind {params.get('kind')!r}")
+        graph_keys = ("conv", "beta") if "conv" in reads else ()
+        if unread := [key for key in arch if key not in (*reads, *graph_keys, "kind", "name", "C")]:
+            raise ValueError(f"{params['kind']} reads no {', '.join(map(repr, unread))}")
+        if arch.get("conv", "row") not in ("row", "sym"):
+            raise ValueError(f"conv must be 'row' or 'sym', not {arch['conv']!r}")
+        if not 0.0 < _number(arch.get("beta", 1.0)) < math.inf:  # NaN fails too
+            raise ValueError(f"beta must be a finite number > 0, not {arch['beta']!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+    return params
 
 
 def _graph_params(ds: dict) -> dict:
@@ -201,7 +222,7 @@ class ExperimentConfig:
         if not self.architectures:
             raise ConfigError("need at least one architecture")
         for arch in self.architectures:
-            _section(f"architecture {arch}", ArchitectureSpec, arch, ARCH_KEYS)
+            _arch_params(arch)
             if not _nonempty_str(arch.get("name", arch.get("kind"))):
                 raise ConfigError(f"invalid architecture {arch}: name must be a non-empty string")
             if not 0.0 < _number(arch.get("C", 0.0)) < math.inf:  # NaN fails too
@@ -294,13 +315,11 @@ def make_graph(config: ExperimentConfig, seed: int) -> Graph:
 
 
 def make_arch_spec(arch: dict, graph: Graph) -> ArchitectureSpec:
+    params = _arch_params(arch)
     try:
-        params, conv = _section(f"architecture {arch}", ArchitectureSpec, arch, ARCH_KEYS), None
-        if params.get("kind") not in ("mlp", "linear"):
-            beta = [_number(arch["beta"])] if "beta" in arch else []  # else its default
-            conv = normalize_adjacency(graph, arch.get("conv", "row"), *beta)
-        elif "conv" in arch or "beta" in arch:
-            raise ValueError(f"{params['kind']} reads no conv or beta")
+        conv = None
+        if "conv" in READS[params["kind"]]:
+            conv = normalize_adjacency(graph, arch.get("conv", "row"), float(arch.get("beta", 1.0)))
         return ArchitectureSpec(conv=conv, **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid architecture {arch}: {exc}") from exc
@@ -455,6 +474,8 @@ def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, b
 
 def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
                     stats):
+    from .milp import (SamplewiseBlock, build_collective, build_samplewise_node, write_lp,
+                       write_mps)
     C = float(arch["C"])
     y = binary_targets(graph)[graph.labeled]
     clean = solve_dual(SvmProblem(Qtrain, y, C), config.tol, config.max_sweeps)
@@ -644,6 +665,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, nargs="*", default=None,
                        help="restrict to these seeds")
     args = parser.parse_args(argv)
+    if args.command == "export":
+        # only the MILP export compiles milp; loading it before any array work
+        # measured a smaller peak RSS than loading it at the first export
+        from . import milp  # noqa: F401
 
     try:
         config = ExperimentConfig.from_file(args.config)

@@ -43,7 +43,7 @@ single linear unit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import pi, sqrt
 
 import numpy as np
@@ -51,8 +51,20 @@ import numpy as np
 from .errors import ResourceError, SingularPropagationError
 from .graph import ConvolutionMatrix, Graph, make_rng
 
-KINDS = ("mlp", "gcn", "sgc", "ppnp", "appnp", "skip_pc", "skip_alpha", "linear")
-GRAPH_KINDS = ("gcn", "sgc", "ppnp", "appnp", "skip_pc", "skip_alpha")
+# the ArchitectureSpec parameters each kind reads, in `describe` order; a
+# parameter its kind never reads keeps its default, and a config never names it
+READS = {
+    "mlp": ("depth", "activation"),
+    "gcn": ("depth", "activation", "conv"),
+    "sgc": ("depth", "conv"),
+    "ppnp": ("depth", "activation", "conv", "alpha"),
+    "appnp": ("depth", "activation", "conv", "alpha", "power_k"),
+    "skip_pc": ("depth", "conv", "skip_activation"),
+    "skip_alpha": ("depth", "conv", "alpha", "skip_activation"),
+    "linear": (),
+}
+_LABELS = {"depth": "L", "activation": "act", "alpha": "alpha", "power_k": "K",
+           "skip_activation": "skip"}
 
 #: Refuse empirical estimation when n * width exceeds this (the per-node
 #: gradient contraction holds n^2 * width floats).
@@ -80,46 +92,39 @@ class ArchitectureSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        reads = READS.get(self.kind)
+        if reads is None:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
+        if "conv" in reads and self.conv is None:
+            raise ValueError(f"{self.kind} requires a convolution matrix")
+        if "conv" not in reads and self.conv is not None:
+            raise ValueError(f"{self.kind} takes no convolution matrix")
         # a parameter no step of the kind reads would only mislabel the kernel
-        if self.alpha is not None and self.kind not in ("ppnp", "appnp", "skip_alpha"):
-            raise ValueError(f"{self.kind} reads no alpha")
-        if self.power_k is not None and self.kind != "appnp":
-            raise ValueError(f"{self.kind} reads no power_k")
-        if self.kind == "linear":
-            return
+        for f in fields(self):
+            if f.name not in (*reads, "kind", "conv") and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} reads no {f.name}")
         min_depth = 0 if self.kind == "mlp" else 1
         if self.depth < min_depth:
             raise ValueError(f"{self.kind} needs depth >= {min_depth}")
-        if self.kind in GRAPH_KINDS and self.conv is None:
-            raise ValueError(f"{self.kind} requires a convolution matrix")
-        if self.kind in ("mlp", "linear") and self.conv is not None:
-            raise ValueError(f"{self.kind} takes no convolution matrix")
-        if self.kind in ("ppnp", "appnp", "skip_alpha"):
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError(f"{self.kind} requires alpha in [0, 1]")
-        if self.kind == "appnp" and (self.power_k is None or self.power_k < 1):
-            raise ValueError("appnp requires power_k >= 1")
+        if "alpha" in reads and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"{self.kind} requires alpha in [0, 1]")
+        if "power_k" in reads and (self.power_k is None or self.power_k < 1):
+            raise ValueError(f"{self.kind} requires power_k >= 1")
         if self.skip_activation not in ("linear", "relu"):
             raise ValueError("skip_activation must be 'linear' or 'relu'")
         if self.activation not in ("linear", "relu"):
             raise ValueError("activation must be 'linear' or 'relu'")
 
     def describe(self) -> str:
+        """The kind and every parameter it reads: specs whose kernels differ never share it."""
         bits = [self.kind]
-        if self.kind != "linear":
-            bits.append(f"L={self.depth}")
-            if self.kind in ("mlp", "gcn"):
-                bits.append(f"act={self.activation}")
-            if self.conv is not None:
+        for param in READS[self.kind]:
+            if param != "conv":
+                bits.append(f"{_LABELS[param]}={getattr(self, param)}")
+            elif self.conv.beta == 1.0:
                 bits.append(f"conv={self.conv.mode}")
-            if self.alpha is not None:
-                bits.append(f"alpha={self.alpha}")
-            if self.power_k is not None:
-                bits.append(f"K={self.power_k}")
-            if self.kind in ("skip_pc", "skip_alpha"):
-                bits.append(f"skip={self.skip_activation}")
+            else:
+                bits.append(f"conv={self.conv.mode}/beta={self.conv.beta}")
         return "/".join(bits)
 
 

@@ -389,6 +389,55 @@ class TestConfigKeys:
         assert "config error: invalid architecture" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # each key was accepted and built the same kernel as without it; gen and report
+    # accepted every one, since only the commands that build specs checked any
+    @pytest.mark.parametrize("arch, key", [
+        ({"kind": "linear", "depth": 3}, "depth"),
+        ({"kind": "sgc", "conv": "row", "activation": "linear"}, "activation"),
+        ({"kind": "gcn", "conv": "row", "skip_activation": "linear"}, "skip_activation"),
+        ({"kind": "gcn", "conv": "row", "alpha": 0.3}, "alpha"),
+        ({"kind": "ppnp", "conv": "row", "alpha": 0.3, "power_k": 3}, "power_k"),
+        ({"kind": "mlp", "conv": "row"}, "conv"),
+        ({"kind": "linear", "beta": 2.0}, "beta"),
+    ], ids=lambda v: v if isinstance(v, str) else v["kind"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_key_the_kind_does_not_read_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                        command, arch, key):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, base_config("out", seeds=[0], architectures=[dict(arch, C=0.05)]))
+        assert main([command, "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid architecture {arch | {'C': 0.05}}: "
+                              f"{arch['kind']} reads no '{key}'")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("conv", "diag"), ("conv", 1), ("beta", 0), ("beta", -1.0), ("beta", "x"), ("beta", True),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_conv_and_beta_are_checked_at_load(self, tmp_path, monkeypatch, capsys, command,
+                                               key, value):
+        monkeypatch.chdir(tmp_path)
+        arch = {"kind": "gcn", "conv": "row", key: value, "C": 0.05}
+        write_config(tmp_path, base_config("out", seeds=[0], architectures=[arch]))
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: invalid architecture {arch}")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("kind", certlab.ntk.READS)
+    def test_every_key_the_kind_reads_loads(self, kind):
+        values = {"depth": 2, "activation": "linear", "conv": "sym", "alpha": 0.3, "power_k": 3,
+                  "skip_activation": "linear"}
+        reads = certlab.ntk.READS[kind]
+        arch = {"kind": kind, "C": 0.05, **{key: values[key] for key in reads},
+                **({"beta": 2.0} if "conv" in reads else {})}
+        config = ExperimentConfig.from_dict(base_config("out", architectures=[arch]))
+        graph = certlab.cli.make_graph(config, 0)
+        spec = certlab.cli.make_arch_spec(arch, graph)
+        assert [getattr(spec, key) for key in reads if key != "conv"] == [
+            values[key] for key in reads if key != "conv"]
+        assert spec.conv is None or (spec.conv.mode, spec.conv.beta) == ("sym", 2.0)
+
     @pytest.mark.parametrize("workload", WORKLOADS.NAMES)
     def test_benchmark_configs_load(self, tmp_path, workload):
         for command in WORKLOADS.build(workload, 0, str(tmp_path)).commands:

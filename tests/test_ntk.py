@@ -328,6 +328,54 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{kind} reads no {list(given)[-1]}"):
             ArchitectureSpec(kind, 1, conv=conv, **given)
 
+    @pytest.mark.parametrize("kind, given", [
+        ("linear", {"depth": 3}), ("sgc", {"activation": "linear"}),
+        ("skip_pc", {"activation": "linear"}),
+        ("skip_alpha", {"alpha": 0.2, "activation": "linear"}),
+        ("gcn", {"skip_activation": "linear"}),
+        ("appnp", {"alpha": 0.2, "power_k": 3, "skip_activation": "linear"}),
+    ])
+    def test_parameter_with_a_default_the_kind_does_not_read(self, small_conv, kind, given):
+        # each built the kernel of the default value, under a source naming neither
+        conv = None if kind == "linear" else small_conv
+        with pytest.raises(ValueError, match=f"{kind} reads no {list(given)[-1]}"):
+            ArchitectureSpec(kind, conv=conv, **given)
+
+    def test_linear_takes_no_conv(self, small_conv):
+        with pytest.raises(ValueError, match="no convolution"):
+            ArchitectureSpec("linear", conv=small_conv)
+
+    @pytest.mark.parametrize("kind", [k for k in certlab.ntk.READS if k != "linear"])
+    def test_every_parameter_the_kind_reads_changes_kernel_and_source(self, small_csbm,
+                                                                       kind):
+        # ppnp and appnp used to leave activation out of the source
+        row = normalize_adjacency(small_csbm, "row")
+        base = {"depth": 2, "activation": "relu", "conv": row, "alpha": 0.2, "power_k": 3,
+                "skip_activation": "relu"}
+        changed = {"depth": [3], "activation": ["linear"], "alpha": [0.5], "power_k": [5],
+                   "skip_activation": ["linear"],
+                   "conv": [normalize_adjacency(small_csbm, "sym"),
+                            normalize_adjacency(small_csbm, "row", 2.0)]}
+        given = {key: base[key] for key in certlab.ntk.READS[kind]}
+        spec = ArchitectureSpec(kind, **given)
+        kernel = ntk_analytic(spec, small_csbm)
+        assert kernel.source == spec.describe()
+        for key in given:
+            for value in changed[key]:
+                other = ArchitectureSpec(kind, **{**given, key: value})
+                assert other.describe() != spec.describe(), key
+                assert np.abs(ntk_analytic(other, small_csbm).Q - kernel.Q).max() > 1e-6, key
+
+    @pytest.mark.parametrize("kind, given", [("ppnp", {}), ("appnp", {"power_k": 3})])
+    def test_propagated_kinds_name_their_activation(self, small_csbm, small_conv, kind,
+                                                    given):
+        # both printed ppnp/L=1/conv=row/alpha=0.2 (appnp with K=3) for different kernels
+        specs = [ArchitectureSpec(kind, conv=small_conv, alpha=0.2, activation=act, **given)
+                 for act in ("linear", "relu")]
+        assert [spec.describe().split("/")[2] for spec in specs] == ["act=linear", "act=relu"]
+        a, b = (ntk_analytic(spec, small_csbm).Q for spec in specs)
+        assert np.abs(a - b).max() > 1e-6
+
     def test_conv_required(self):
         with pytest.raises(ValueError, match="convolution"):
             ArchitectureSpec("gcn", 1)
