@@ -30,11 +30,12 @@ as an index array, and the margins of every test row under them as one
 block, one row per leaf. Each leaf is warm-started from its parent, the
 set minus its largest element, in the level before. No leaf depends on
 the test node or the budget, and a smaller budget's leaves are a prefix
-of the walk, so a walk yields each budget's snapshot within the capacity
-limit at the end of its last level, then raises the CapacityError of the
-first budget past it. A reducer takes the first extremizer of each block
-and replaces its witness only on a strict gain across blocks, so every
-witness stays the first extremizer in size-ascending lexicographic order.
+of the walk. So one `_walk` serves every budget: it ends each budget's
+snapshot with the block that closes its last level, then raises the
+CapacityError of the first budget past the capacity limit. `_fold_least`
+takes the first minimizer of each block and replaces a witness only on a
+strict gain across blocks, so every witness stays the first extremizer
+in size-ascending lexicographic order.
 
 Each reducer validates its `SvmProblem` up front. A saturated collective
 walk solves no leaf QP: each chunk costs one `margins` product. Otherwise
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,15 +163,20 @@ def _budget_rs(budgets):
     return rs
 
 
-def _budget_ends(rs, m, num_classes, cap):
-    """(leaf number -> snapshots due after it, r of the last budget within cap,
-    CapacityError of the first budget past it or None, raised if none fits)."""
+def _walk(blocks, rs, m, num_classes, cap):
+    """Yield (keys, P, due) for each block of `blocks(r)`, r the largest
+    budget in rs within `cap` leaves: due is the number of budgets whose
+    last leaf closes the block. Then raise the CapacityError of the first
+    budget past `cap`, before the first block if none fits."""
     counts = [leaf_count(m, r, num_classes) for r in rs]
     fit = sum(n <= cap for n in counts)  # counts ascend with r
-    over = CapacityError(counts[fit], cap) if fit < len(counts) else None
-    if not fit:
-        raise over
-    return Counter(counts[:fit]), rs[fit - 1], over
+    if fit:
+        n = 0
+        for keys, P in blocks(rs[fit - 1]):
+            n += len(P)
+            yield keys, P, counts.count(n)  # the walk never reaches a count past cap
+    if fit < len(counts):
+        raise CapacityError(counts[fit], cap)
 
 
 def _test_rows(Qcross, test_ids, num_classes=2):
@@ -266,7 +271,7 @@ def _levels(m, r):
         yield flips, parent
 
 
-def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats=None, saturated=False):
+def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats, saturated=False):
     """Yield (flips, margins) blocks for the flip sets of size 0..r, by size
     and then in lexicographic order: flips holds a chunk's sets as rows of
     an index array, margins one row of Qcross margins per set.
@@ -280,7 +285,6 @@ def _scan_flips(problem, Qcross, r, tol, max_sweeps, stats=None, saturated=False
     most CHUNK_FLOATS / max(m^2, T) leaves. `stats` (a ScanStats) counts the
     leaves.
     """
-    stats = ScanStats() if stats is None else stats
     y, C, m = problem.y, problem.C, problem.m
     if saturated:
         alpha = np.full((1, m), C)
@@ -313,8 +317,7 @@ def _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats):
     size-ascending lexicographic order (entry t: row t's least p, T + t: its
     least -p). Saturated, flipping y_i lowers p_t by g_ti = 2C y_i Q_ti
     whatever else flips: both sides are closed forms over g and -g, and `cap`
-    does not apply. Otherwise one walk keeps the running minima and raises
-    the CapacityError of the first budget past `cap`."""
+    does not apply. Otherwise one `_walk` keeps the running minima."""
     if saturates(problem.Qtrain, problem.C):
         p = margins(np.full(problem.m, problem.C), problem.y, Qcross)
         yield p, True
@@ -322,19 +325,16 @@ def _extremes(problem, Qcross, rs, cap, tol, max_sweeps, stats):
         for rise, witness in _top_gains(np.vstack([gains, -gains]), rs):
             yield np.concatenate([p, -p]) - rise, witness
         return
-    ends, r, over = _budget_ends(rs, problem.m, 2, cap)
     least, witness = np.full(2 * len(Qcross), math.inf), [()] * (2 * len(Qcross))
-    n = 0
-    for flips, P in _scan_flips(problem, Qcross, r, tol, max_sweeps, stats):
-        if not n:
+    walk = _walk(lambda r: _scan_flips(problem, Qcross, r, tol, max_sweeps, stats),
+                 rs, problem.m, 2, cap)
+    for i, (flips, P, due) in enumerate(walk):
+        if not i:
             yield P[0], False
         least = _fold_least(least, np.hstack([P, -P]), witness,
-                            lambda i: tuple(flips[i].tolist()))
-        n += len(P)
-        for _ in range(ends[n]):
+                            lambda j: tuple(flips[j].tolist()))
+        for _ in range(due):
             yield least, witness
-    if over:
-        raise over
 
 
 def reduce_samples(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
@@ -361,30 +361,27 @@ def reduce_samples(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_swe
 def reduce_collective(Qtrain, Qcross, y, C, budgets, test_ids, *, cap, tol, max_sweeps,
                       stats=None):
     """Per budget, the CollectiveCertificate of the Qcross rows (see
-    certify_collective). It walks the flip sets in every regime."""
+    certify_collective), walking in every regime: the first maximizer of a
+    count is the first minimizer of its negation."""
     Qcross, test_ids = _test_rows(Qcross, test_ids)
     problem = SvmProblem(Qtrain, y, C)
-    ends, r, over = _budget_ends(_budget_rs(budgets), problem.m, 2, cap)
-    leaves = _scan_flips(problem, Qcross, r, tol, max_sweeps, stats,
-                         saturated=saturates(problem.Qtrain, C))
-    most, n = -1, 0
-    for flips, P in leaves:
-        if not n:
+    stats = ScanStats() if stats is None else stats
+    walk = _walk(lambda r: _scan_flips(problem, Qcross, r, tol, max_sweeps, stats,
+                                       saturated=saturates(problem.Qtrain, C)),
+                 _budget_rs(budgets), problem.m, 2, cap)
+    fewest, witness = np.full(1, math.inf), [None]  # the least -count, one column
+    for i, (flips, P, due) in enumerate(walk):
+        if not i:
             sign = np.sign(P[0])
             zero = sign == 0.0
             yield P[0]
         broken = sign * P <= 0.0
         counts = np.count_nonzero(broken & ~zero, axis=1)
-        first = int(np.argmax(counts))
-        if counts[first] > most:
-            most, witness = int(counts[first]), (tuple(flips[first].tolist()),
-                                                  broken[first] | zero)
-        n += len(P)
-        for _ in range(ends[n]):
+        fewest = _fold_least(fewest, -counts[:, None], witness,
+                             lambda j: (tuple(flips[j].tolist()), broken[j] | zero))
+        for _ in range(due):
             # an undefined clean sign counts as misclassified outright
-            yield CollectiveCertificate(most + int(np.sum(zero)), *witness)
-    if over:
-        raise over
+            yield CollectiveCertificate(int(-fewest[0]) + int(np.sum(zero)), *witness[0])
 
 
 def certify_sample(Qtrain, Qcross_t, y, C, budget: Budget, t: int,
@@ -507,21 +504,21 @@ def reduce_multiclass_exact(Qtrain, Qcross, labels, num_classes, C, budgets, tes
             stats.closed_form_rows += len(test_ids)
             yield _certificates(test_ids, worst, witness)
         return
-    ends, r, over = _budget_ends(rs, labels.size, num_classes, cap)
-    scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
+
+    def blocks(r):
+        scans = [_scan_flips(p, Qcross, r, tol, max_sweeps, stats) for p in problems]
+        return _relabeling_margins(labels.tolist(), scans, r)
+
     rows = np.arange(len(test_ids))
-    best, witness, n = np.full(rows.size, math.inf), [()] * rows.size, 0
-    for changes, P in _relabeling_margins(labels.tolist(), scans, r):
-        if not n:
+    best, witness = np.full(rows.size, math.inf), [()] * rows.size
+    for i, (changes, P, due) in enumerate(_walk(blocks, rs, labels.size, num_classes, cap)):
+        if not i:
             c_hat = np.argmax(P[0], axis=0)
             yield P[0]
         best = _fold_least(best, P[:, c_hat, rows] - _runner_up(P, c_hat), witness,
                            changes.__getitem__)
-        n += len(changes)
-        for _ in range(ends[n]):
+        for _ in range(due):
             yield _certificates(test_ids, best, witness)
-    if over:
-        raise over
 
 
 def reduce_multiclass_inexact(Qtrain, Qcross, labels, num_classes, C, budgets, test_ids,

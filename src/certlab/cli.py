@@ -54,8 +54,8 @@ from .graph import (
     sample_csbm,
     save_graph,
 )
-from .ntk import (READS, ArchitectureSpec, check_width, kernel_to_csv, ntk_analytic,
-                  ntk_empirical, save_kernel)
+from .ntk import (READS, ArchitectureSpec, _check_values, check_width, kernel_to_csv,
+                  ntk_analytic, ntk_empirical, save_kernel)
 from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
@@ -131,8 +131,8 @@ def _section(what: str, cls, doc: dict, own=()) -> dict:
 def _arch_params(arch: dict) -> dict:
     """The `ArchitectureSpec` parameters of a config architecture. A key its kind never
     reads (see `ntk.READS`; `conv` and `beta` go with the convolution kinds) is a config
-    error whatever its value, and so are a `conv` other than row or sym and a `beta` that
-    is not a finite number > 0."""
+    error whatever its value, and so are a value the spec would reject, a `conv` other
+    than row or sym and a `beta` that is not a finite number > 0."""
     what = f"architecture {arch}"
     params = _section(what, ArchitectureSpec, arch, ARCH_KEYS)
     try:
@@ -142,6 +142,7 @@ def _arch_params(arch: dict) -> dict:
         graph_keys = ("conv", "beta") if "conv" in reads else ()
         if unread := [key for key in arch if key not in (*reads, *graph_keys, "kind", "name", "C")]:
             raise ValueError(f"{params['kind']} reads no {', '.join(map(repr, unread))}")
+        _check_values(params)
         if arch.get("conv", "row") not in ("row", "sym"):
             raise ValueError(f"conv must be 'row' or 'sym', not {arch['conv']!r}")
         if not 0.0 < _number(arch.get("beta", 1.0)) < math.inf:  # NaN fails too

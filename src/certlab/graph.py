@@ -3,8 +3,7 @@
 Graphs are dense, undirected and unweighted: an n x n symmetric 0/1
 adjacency with zero diagonal, an n x d feature matrix, 1-based class
 labels in {1, ..., K} and an ordered set of labeled node indices. All
-arrays are frozen after construction so instances can be shared freely
-across threads.
+arrays are frozen after construction.
 """
 
 from __future__ import annotations
@@ -60,6 +59,8 @@ class Graph:
         n = features.shape[0]
         if features.ndim != 2:
             raise GraphFormatError("features must be a 2-d matrix")
+        if not np.all(np.isfinite(features)):
+            raise GraphFormatError("features must be finite")
         if adjacency.shape != (n, n):
             raise GraphFormatError(
                 f"adjacency shape {adjacency.shape} does not match {n} nodes"
@@ -124,6 +125,8 @@ class ConvolutionMatrix:
         object.__setattr__(self, "S", S)
         if self.mode not in ("row", "sym", "identity"):
             raise ValueError(f"unknown convolution mode {self.mode!r}")
+        if not np.all(np.isfinite(S)):
+            raise ValueError("convolution matrix must be finite")
         if np.any(S < 0):
             raise ValueError("convolution matrix must be nonnegative")
         if self.mode == "sym" and not np.allclose(S, S.T, atol=1e-12):
@@ -154,8 +157,8 @@ def normalize_adjacency(graph: Graph, mode: str, beta: float = 1.0) -> Convoluti
     S = D_hat^-1 A_hat (row) or D_hat^-1/2 A_hat D_hat^-1/2 (sym).
     The self loop keeps every degree positive, so no isolated-node case exists.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:  # NaN fails too
+        raise ValueError(f"beta must be a finite number > 0, got {beta}")
     if mode not in ("row", "sym"):
         raise ValueError(f"unknown normalization mode {mode!r}")
     a_hat = beta * graph.adjacency + np.eye(graph.n)

@@ -103,17 +103,7 @@ class ArchitectureSpec:
         for f in fields(self):
             if f.name not in (*reads, "kind", "conv") and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.kind} reads no {f.name}")
-        min_depth = 0 if self.kind == "mlp" else 1
-        if self.depth < min_depth:
-            raise ValueError(f"{self.kind} needs depth >= {min_depth}")
-        if "alpha" in reads and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"{self.kind} requires alpha in [0, 1]")
-        if "power_k" in reads and (self.power_k is None or self.power_k < 1):
-            raise ValueError(f"{self.kind} requires power_k >= 1")
-        if self.skip_activation not in ("linear", "relu"):
-            raise ValueError("skip_activation must be 'linear' or 'relu'")
-        if self.activation not in ("linear", "relu"):
-            raise ValueError("activation must be 'linear' or 'relu'")
+        _check_values(vars(self))
 
     def describe(self) -> str:
         """The kind and every parameter it reads: specs whose kernels differ never share it."""
@@ -126,6 +116,24 @@ class ArchitectureSpec:
             else:
                 bits.append(f"conv={self.conv.mode}/beta={self.conv.beta}")
         return "/".join(bits)
+
+
+def _check_values(params: dict) -> None:
+    """The ArchitectureSpec checks that need no convolution matrix, on a map
+    of parameter names to values that holds `kind`; a parameter left out
+    keeps its default. Config load runs them too, before any graph exists."""
+    spec = {f.name: f.default for f in fields(ArchitectureSpec)} | params
+    kind, reads = spec["kind"], READS[spec["kind"]]
+    min_depth = 0 if kind == "mlp" else 1
+    if spec["depth"] < min_depth:
+        raise ValueError(f"{kind} needs depth >= {min_depth}")
+    if "alpha" in reads and (spec["alpha"] is None or not 0.0 <= spec["alpha"] <= 1.0):
+        raise ValueError(f"{kind} requires alpha in [0, 1]")
+    if "power_k" in reads and (spec["power_k"] is None or spec["power_k"] < 1):
+        raise ValueError(f"{kind} requires power_k >= 1")
+    for name in ("skip_activation", "activation"):
+        if spec[name] not in ("linear", "relu"):
+            raise ValueError(f"{name} must be 'linear' or 'relu'")
 
 
 def _symmetric_psd(q: np.ndarray) -> np.ndarray:
@@ -332,47 +340,27 @@ def _ppnp_system(spec: ArchitectureSpec, n: int) -> np.ndarray:
     return a
 
 
-def _propagation_matrix(spec: ArchitectureSpec, n: int) -> np.ndarray:
-    if spec.kind == "ppnp":
-        return spec.alpha * np.linalg.solve(_ppnp_system(spec, n), np.eye(n))
-    s = spec.conv.S
-    p = spec.alpha * np.eye(n)
-    pw = np.eye(n)
-    for _ in range(spec.power_k - 1):
-        pw = (1.0 - spec.alpha) * (pw @ s)
-        p = p + spec.alpha * pw
-    p = p + (1.0 - spec.alpha) * (pw @ s)
-    return p
+def _propagation(spec: ArchitectureSpec, n: int):
+    """(v -> P v, v -> P^T v) for the propagation P of ppnp or appnp.
 
-
-def _propagated(spec: ArchitectureSpec, base: np.ndarray, cols) -> np.ndarray:
-    """P base P^T for the propagation P of ppnp or appnp, or its columns `cols`.
-
-    The columns P base P[cols]^T never form P. PPNP solves for the
-    m = len(cols) columns instead of inverting. APPNP's
-    P = alpha sum_(k<K) ((1-alpha) S)^k + ((1-alpha) S)^K is applied by
-    Horner, u <- alpha v + (1-alpha) S u, K times from u = v: once with S^T
-    for P[cols]^T = P^T I[:, cols], once with S for P times base P[cols]^T,
-    2K n^2 m in all where forming P costs (K + 2) n^3.
+    PPNP's P = alpha (I - (1-alpha) S)^-1 is applied by a solve, never
+    inverted. APPNP's P = alpha sum_(k<K) ((1-alpha) S)^k + ((1-alpha) S)^K
+    is applied by Horner, u <- alpha v + (1-alpha) S u, K times from u = v
+    (S^T for P^T): 2K n^2 m for m columns v, K n^3 for P itself (v = I).
     """
-    n = base.shape[0]
-    if cols is None:
-        p = _propagation_matrix(spec, n)
-        return p @ base @ p.T
-    unit = np.eye(n)[:, cols]
     if spec.kind == "ppnp":
         a = _ppnp_system(spec, n)
-        right = spec.alpha * np.linalg.solve(a.T, unit)
-        return spec.alpha * np.linalg.solve(a, base @ right)
+        return (lambda v: spec.alpha * np.linalg.solve(a, v),
+                lambda v: spec.alpha * np.linalg.solve(a.T, v))
 
-    def apply(m, v):
-        u = v
-        for _ in range(spec.power_k):
-            u = spec.alpha * v + (1.0 - spec.alpha) * (m @ u)
-        return u
-
-    s = spec.conv.S
-    return apply(s, base @ apply(s.T, unit))
+    def horner(s):
+        def apply(v):
+            av, u = spec.alpha * v, v
+            for _ in range(spec.power_k):
+                u = av + (1.0 - spec.alpha) * (s @ u)
+            return u
+        return apply
+    return horner(spec.conv.S), horner(spec.conv.S.T)
 
 
 def _skip_pc_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
@@ -435,7 +423,14 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
     elif spec.kind == "sgc":
         theta = _sgc_theta(x, s, spec.depth, cols)
     elif spec.kind in ("ppnp", "appnp"):
-        theta = _propagated(spec, _stack_theta(x, None, spec.depth, spec.activation), cols)
+        # P base P^T, or its columns P base P[cols]^T = P (base (P^T I[:, cols]))
+        base = _stack_theta(x, None, spec.depth, spec.activation)
+        apply, apply_t = _propagation(spec, graph.n)
+        if cols is None:
+            p = apply(np.eye(graph.n))
+            theta = p @ base @ p.T
+        else:
+            theta = apply(base @ apply_t(np.eye(graph.n)[:, cols]))
     elif spec.kind == "skip_pc":
         theta = _skip_pc_theta(x, s, spec.depth, spec.skip_activation, cols)
     else:
@@ -621,7 +616,9 @@ def ntk_empirical(spec: ArchitectureSpec, graph: Graph, width: int, samples: int
     x, depth = graph.features, spec.depth
     # PPNP and APPNP propagate through the output seed, not between layers
     s = None if spec.conv is None or spec.kind in ("ppnp", "appnp") else spec.conv.S
-    out_seed = _propagation_matrix(spec, graph.n) if spec.kind in ("ppnp", "appnp") else None
+    out_seed = None
+    if spec.kind in ("ppnp", "appnp"):
+        out_seed = _propagation(spec, graph.n)[0](np.eye(graph.n))
     if spec.kind in ("skip_pc", "skip_alpha"):
         start = _skip(x, s, depth, width, spec.skip_activation,
                       spec.alpha if spec.kind == "skip_alpha" else None)

@@ -424,6 +424,43 @@ class TestConfigKeys:
         assert capsys.readouterr().err.startswith(f"config error: invalid architecture {arch}")
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    # gen and report accepted each of these, which only the commands that build specs rejected
+    @pytest.mark.parametrize("arch, message", [
+        ({"kind": "gcn", "depth": 0}, "gcn needs depth >= 1"),
+        ({"kind": "ppnp", "alpha": 2.0}, "ppnp requires alpha in [0, 1]"),
+        ({"kind": "ppnp"}, "ppnp requires alpha in [0, 1]"),
+        ({"kind": "appnp", "alpha": 0.1, "power_k": 0}, "appnp requires power_k >= 1"),
+        ({"kind": "gcn", "activation": "tanh"}, "activation must be 'linear' or 'relu'"),
+        ({"kind": "skip_pc", "skip_activation": "tanh"},
+         "skip_activation must be 'linear' or 'relu'"),
+    ], ids=["depth", "alpha", "no-alpha", "power_k", "activation", "skip_activation"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_value_the_spec_rejects_is_checked_at_load(self, tmp_path, monkeypatch, capsys,
+                                                       command, arch, message):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, base_config("out", seeds=[0], architectures=[dict(arch, C=0.05)]))
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: invalid architecture {arch | {'C': 0.05}}: {message}")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["ntk", "certify", "export", "validate-ntk"])
+    def test_non_finite_feature_is_config_error(self, tmp_path, monkeypatch, capsys, command,
+                                                bad):
+        # each command used to stop on a traceback at the kernel, ntk after making out/
+        save_graph(sample_csbm(CsbmParams(n=24, labeled_per_class=3)), tmp_path / "graph.json")
+        doc = json.loads((tmp_path / "graph.json").read_text())
+        doc["features"][3][0] = bad
+        (tmp_path / "graph.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, base_config("out", seeds=[0], dataset={"kind": "file",
+                                                                      "path": "graph.json"}))
+        assert main([command, "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid dataset") and "finite" in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "graph.json"]
+
     @pytest.mark.parametrize("kind", certlab.ntk.READS)
     def test_every_key_the_kind_reads_loads(self, kind):
         values = {"depth": 2, "activation": "linear", "conv": "sym", "alpha": 0.3, "power_k": 3,

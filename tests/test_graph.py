@@ -73,6 +73,18 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValueError):
             normalize_adjacency(g, "spectral")
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # both used to return an S with non-finite entries, inf with a RuntimeWarning
+        g = graph_of([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="finite number > 0"):
+            normalize_adjacency(g, "row", beta=beta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_convolution_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ConvolutionMatrix(np.array([[0.5, bad], [0.5, 0.5]]), "row")
+
 
 class TestGraphValidation:
     def test_asymmetric_adjacency_rejected(self):
@@ -89,6 +101,13 @@ class TestGraphValidation:
         with pytest.raises(GraphFormatError, match="distinct"):
             Graph(np.eye(2), np.zeros((2, 2)), np.array([1, 1]),
                   np.array([0, 0]), num_classes=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        features = np.eye(2)
+        features[1, 0] = bad
+        with pytest.raises(GraphFormatError, match="finite"):
+            Graph(features, np.zeros((2, 2)), np.array([1, 1]), np.array([0]), num_classes=1)
 
     def test_arrays_frozen(self):
         g = graph_of(np.zeros((2, 2)))

@@ -303,6 +303,30 @@ class TestColumns:
             ntk_analytic(spec, small_csbm, columns=[0, small_csbm.n])
 
 
+class TestPropagation:
+    """`_propagation` against P written out as its defining sum or inverse."""
+
+    @pytest.mark.parametrize("mode", ["row", "sym"])
+    @pytest.mark.parametrize("kind, alpha, power_k", [
+        ("ppnp", 0.2, None), ("ppnp", 0.9, None),
+        ("appnp", 0.1, 1), ("appnp", 0.1, 6), ("appnp", 0.5, 10),
+    ])
+    def test_pair_applies_p_and_its_transpose(self, small_csbm, mode, kind, alpha, power_k):
+        conv = normalize_adjacency(small_csbm, mode)
+        n, t = small_csbm.n, (1.0 - alpha) * conv.S
+        if kind == "ppnp":
+            want = alpha * np.linalg.inv(np.eye(n) - t)
+        else:
+            want = (alpha * sum(np.linalg.matrix_power(t, k) for k in range(power_k))
+                    + np.linalg.matrix_power(t, power_k))
+        spec = ArchitectureSpec(kind, 1, conv=conv, alpha=alpha, power_k=power_k)
+        apply, apply_t = certlab.ntk._propagation(spec, n)
+        v = np.random.default_rng(0).standard_normal((n, 3))
+        for got, exact in ((apply(np.eye(n)), want), (apply_t(np.eye(n)), want.T),
+                           (apply(v), want @ v), (apply_t(v), want.T @ v)):
+            assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
