@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import DEFAULT_CAPACITY, CapacityError
 from .svm import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
@@ -73,7 +73,6 @@ from .svm import (
     solve_dual_pg,
 )
 
-DEFAULT_CAPACITY = 1_000_000
 # floats in one chunk's stacked m x m systems, or in its margin block
 CHUNK_FLOATS = 1 << 20
 

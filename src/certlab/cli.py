@@ -28,20 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .certify import (
-    DEFAULT_CAPACITY,
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    Budget,
-    CollectiveCertificate,
-    ScanStats,
-    metrics,
-    reduce_collective,
-    reduce_multiclass_exact,
-    reduce_multiclass_inexact,
-    reduce_samples,
-)
-from .errors import CapacityError, CertlabError, ConfigError, GraphFormatError
+from .errors import DEFAULT_CAPACITY, CapacityError, CertlabError, ConfigError, GraphFormatError
 from .graph import (
     CbaParams,
     CsbmParams,
@@ -56,7 +43,7 @@ from .graph import (
 )
 from .ntk import (READS, ArchitectureSpec, _check_values, check_width, kernel_to_csv,
                   ntk_analytic, ntk_empirical, save_kernel)
-from .svm import SvmProblem, margins, one_vs_all_split, solve_dual
+from .svm import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SvmProblem, margins, one_vs_all_split, solve_dual
 
 CERTIFICATE_KINDS = ("sample", "collective", "multiclass-exact",
                      "multiclass-inexact", "export-only")
@@ -370,6 +357,7 @@ def _node_records(test, result):
     template of its kind: collective flags, or a sample-wise or multi-class
     certificate with its witness. Rendering waits for the file: a cell
     holds its certificates until then, not its text."""
+    from .certify import CollectiveCertificate
     if isinstance(result, CollectiveCertificate):
         for t, flag in zip(np.asarray(test).tolist(), result.misclassified.tolist()):
             yield _COLLECTIVE_NODE % (t, _JSON_BOOL[flag])
@@ -423,6 +411,7 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, sta
     epsilon without a result yet. `graph` holds only the graph's `labels`,
     `labeled` and `num_classes`.
     """
+    from .certify import Budget
     start = time.perf_counter()
     Qtrain, Qcross = kernel.Q[graph.labeled], kernel.Q[test]  # its columns are graph.labeled
     budgets = [Budget(eps, graph.labeled.size) for eps in epsilons]
@@ -441,6 +430,8 @@ def _run_cell(config, graph, kernel, arch, name, test, seed, kind, epsilons, sta
 def _scan_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind, budgets,
                   stats):
     """(row, per_node, witness) of each budget, in step with the unit's reducer."""
+    from .certify import (metrics, reduce_collective, reduce_multiclass_exact,
+                          reduce_multiclass_inexact, reduce_samples)
     labels, C = graph.labels[graph.labeled], float(arch["C"])
     opts = dict(cap=config.capacity, tol=config.tol, max_sweeps=config.max_sweeps,
                 stats=stats)
@@ -510,6 +501,7 @@ def _export_outputs(config, graph, Qtrain, Qcross, arch, name, test, seed, kind,
 def run(config: ExperimentConfig, eps_filter=None, arch_filter=None,
         seed_filter=None) -> ReportBundle:
     """Execute the experiment grid and write the report bundle."""
+    from .certify import ScanStats  # only certify and export load certify, here
     seeds, archs, epsilons = config.select(seed_filter, arch_filter, eps_filter)
 
     # kernels all come first: build-then-scan per unit measured 36% more CPU time;

@@ -29,6 +29,10 @@ class ResourceError(CertlabError):
     """A computation would exceed a configured memory cap."""
 
 
+#: Leaves an exhaustive certificate may enumerate before it raises CapacityError.
+DEFAULT_CAPACITY = 1_000_000
+
+
 class CapacityError(CertlabError):
     """Exhaustive certification would exceed the leaf budget.
 

@@ -81,7 +81,8 @@ class Graph:
             )
         if not 1 <= labeled.size <= n:
             raise GraphFormatError("need 1 <= m <= n labeled nodes")
-        if np.unique(labeled).size != labeled.size:
+        # sort and diff, not np.unique: that one call would load all of numpy.ma
+        if np.any(np.diff(np.sort(labeled)) == 0):
             raise GraphFormatError("labeled indices must be distinct")
         if np.any(labeled < 0) or np.any(labeled >= n):
             raise GraphFormatError("labeled index out of range")
@@ -129,7 +130,10 @@ class ConvolutionMatrix:
             raise ValueError("convolution matrix must be finite")
         if np.any(S < 0):
             raise ValueError("convolution matrix must be nonnegative")
-        if self.mode == "sym" and not np.allclose(S, S.T, atol=1e-12):
+        # a sym S is exactly symmetric when beta is a power of two (1 included),
+        # and this exact test costs far less than allclose
+        if (self.mode == "sym" and not np.array_equal(S, S.T)
+                and not np.allclose(S, S.T, atol=1e-12)):
             raise ValueError("sym-normalized matrix must be symmetric")
         S.setflags(write=False)
 
@@ -161,13 +165,15 @@ def normalize_adjacency(graph: Graph, mode: str, beta: float = 1.0) -> Convoluti
         raise ValueError(f"beta must be a finite number > 0, got {beta}")
     if mode not in ("row", "sym"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    a_hat = beta * graph.adjacency + np.eye(graph.n)
-    deg = a_hat.sum(axis=1)
+    s = beta * graph.adjacency  # A_hat, then S, in place
+    s.flat[::graph.n + 1] += 1.0
+    deg = s.sum(axis=1)
     if mode == "row":
-        s = a_hat / deg[:, None]
+        s /= deg[:, None]
     else:
         inv_sqrt = 1.0 / np.sqrt(deg)
-        s = inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
+        s *= inv_sqrt[:, None]
+        s *= inv_sqrt[None, :]
     return ConvolutionMatrix(s, mode, beta)
 
 
@@ -286,23 +292,25 @@ def sample_cba(params: CbaParams) -> Graph:
     labels = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int64)
     features = _binary_features(rng, labels, d, params.sigma, params.signal_scale)
     adjacency = np.zeros((n, n))
-    degree = np.zeros(n)
+    pull = np.ones(n)  # 1 + degree
 
     def add_edge(i: int, j: int) -> None:
         if adjacency[i, j] == 0.0:
             adjacency[i, j] = adjacency[j, i] = 1.0
-            degree[i] += 1
-            degree[j] += 1
+            pull[i] += 1.0
+            pull[j] += 1.0
 
     add_edge(1, 0)
     affinity = w[:, labels - 1]  # row c - 1: the affinity of class c to each node
+    # node i's deg uniforms are row i - 2: one call draws what a call per node drew
+    uniforms = rng.random((n - 2, params.deg))
     for i in range(2, n):
-        weights = (1.0 + degree[:i]) * affinity[labels[i] - 1, :i]
+        weights = pull[:i] * affinity[labels[i] - 1, :i]
         # what rng.choice(i, size=deg, replace=True, p=weights / weights.sum())
         # computes, the same floats and the same draws from rng
         cdf = np.cumsum(weights / weights.sum())
         cdf /= cdf[-1]
-        for j in cdf.searchsorted(rng.random(params.deg), side="right"):
+        for j in cdf.searchsorted(uniforms[i - 2], side="right"):
             add_edge(i, int(j))
     labeled = _stratified_labeled(rng, labels, params.labeled_per_class, 2)
     return Graph(features, adjacency, labels, labeled, num_classes=2, seed=params.seed)

@@ -124,6 +124,12 @@ def _check_values(params: dict) -> None:
     keeps its default. Config load runs them too, before any graph exists."""
     spec = {f.name: f.default for f in fields(ArchitectureSpec)} | params
     kind, reads = spec["kind"], READS[spec["kind"]]
+    for name in ("depth", "power_k"):
+        value = spec[name]
+        if name == "power_k" and value is None:
+            continue  # its default: unread, or rejected as `power_k >= 1` below
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     min_depth = 0 if kind == "mlp" else 1
     if spec["depth"] < min_depth:
         raise ValueError(f"{kind} needs depth >= {min_depth}")
@@ -255,12 +261,39 @@ def _pair_moment(act_r: str, act_s: str, sigma: np.ndarray) -> np.ndarray:
 
 
 def _deriv_moment(act: str, sigma: np.ndarray) -> np.ndarray:
-    """E[f'(u_r) f'(u_s)]; for the rectifier this is the arc-cosine step kernel."""
+    """E[f'(u_r) f'(u_s)]; for the rectifier this is the arc-cosine step kernel.
+    The reference `_moments` is tested against."""
     if act == "linear":
         return np.ones_like(sigma)
     rho, denom = _corr(sigma)
     out = kappa0(rho)
     return np.where(denom > 0.0, out, 0.0)
+
+
+def _moments(act: str, sigma: np.ndarray):
+    """(`_pair_moment(act, act, sigma)`, `_deriv_moment(act, sigma)`), the same
+    floats from one correlation and one arccos, computed in place."""
+    if act == "linear":
+        return sigma.copy(), np.ones_like(sigma)
+    var = np.maximum(np.diag(sigma), 0.0)
+    denom = np.outer(var, var)
+    np.sqrt(denom, out=denom)
+    pos = denom > 0.0
+    rho = np.divide(sigma, denom, out=np.zeros_like(sigma), where=pos)
+    np.clip(rho, -1.0, 1.0, out=rho)
+    step = np.arccos(rho)
+    np.subtract(pi, step, out=step)  # pi - arccos(rho)
+    pair = np.multiply(rho, rho)
+    np.subtract(1.0, pair, out=pair)
+    np.maximum(pair, 0.0, out=pair)
+    np.sqrt(pair, out=pair)
+    rho *= step
+    pair += rho
+    pair /= pi
+    pair *= denom  # denom * kappa1(rho)
+    step /= pi  # kappa0(rho)
+    np.copyto(step, 0.0, where=~pos)
+    return pair, step
 
 
 def _mean_vec(act: str, sigma: np.ndarray) -> np.ndarray:
@@ -313,8 +346,9 @@ def _stack_theta(x: np.ndarray, s: np.ndarray | None, depth: int, act: str,
         return _sandwich(None, sig, cols)
     theta = sig
     for layer in range(depth):
-        e = _pair_moment(act, act, sig)
-        inner = theta * _deriv_moment(act, sig) + e
+        e, inner = _moments(act, sig)
+        inner *= theta
+        inner += e  # theta * deriv + e
         if layer == depth - 1:  # no later layer reads this layer's moments
             return _sandwich(s, inner, cols)
         theta, sig = _sandwich(s, inner, None), _sandwich(s, e, None)
@@ -378,11 +412,12 @@ def _skip_pc_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
     for _ in range(depth - 1):
         mean_hidden = _mean_vec("relu", sig)
         cross = np.outer(mean_hidden, mean_skip)
-        a = _pair_moment("relu", "relu", sig) + cross + cross.T + e_skip
-        theta = s @ (theta * _deriv_moment("relu", sig) + a) @ s.T
+        e, deriv = _moments("relu", sig)
+        a = e + cross + cross.T + e_skip
+        theta = s @ (theta * deriv + a) @ s.T
         sig = s @ a @ s.T
-    e = _pair_moment("relu", "relu", sig)
-    return _sandwich(s, theta * _deriv_moment("relu", sig) + e, cols)
+    e, deriv = _moments("relu", sig)
+    return _sandwich(s, theta * deriv + e, cols)
 
 
 def _skip_alpha_theta(x: np.ndarray, s: np.ndarray, depth: int, sact: str,
@@ -430,7 +465,9 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
             p = apply(np.eye(graph.n))
             theta = p @ base @ p.T
         else:
-            theta = apply(base @ apply_t(np.eye(graph.n)[:, cols]))
+            onehot = np.zeros((graph.n, cols.size), order="F")  # I[:, cols]'s layout
+            onehot[cols, np.arange(cols.size)] = 1.0
+            theta = apply(base @ apply_t(onehot))
     elif spec.kind == "skip_pc":
         theta = _skip_pc_theta(x, s, spec.depth, spec.skip_activation, cols)
     else:

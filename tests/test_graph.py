@@ -80,6 +80,23 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValueError, match="finite number > 0"):
             normalize_adjacency(g, "row", beta=beta)
 
+    def test_sym_symmetric_within_rounding_accepted(self):
+        # beta = 3 rounds (inv_i * 3) * inv_j and (inv_j * 3) * inv_i apart,
+        # so S passes the allclose check, not the exact one
+        g = sample_csbm(CsbmParams(n=40, p=0.3, q=0.1, labeled_per_class=2, seed=0))
+        conv = normalize_adjacency(g, "sym", beta=3.0)
+        assert not np.array_equal(conv.S, conv.S.T)
+        np.testing.assert_allclose(conv.S, conv.S.T, rtol=0, atol=1e-15)
+        exact = normalize_adjacency(g, "sym").S  # beta = 1: the array_equal path
+        assert np.array_equal(exact, exact.T)
+
+    def test_asymmetric_sym_rejected(self):
+        s = np.full((3, 3), 0.25)
+        s[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            ConvolutionMatrix(s, "sym")
+        ConvolutionMatrix(s, "row")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_convolution_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -101,6 +118,14 @@ class TestGraphValidation:
         with pytest.raises(GraphFormatError, match="distinct"):
             Graph(np.eye(2), np.zeros((2, 2)), np.array([1, 1]),
                   np.array([0, 0]), num_classes=1)
+
+    @pytest.mark.parametrize("labeled", [[2, 0, 3, 0], [3, 1, 2, 1], [3, 3]])
+    def test_duplicate_labeled_apart_rejected(self, labeled):
+        with pytest.raises(GraphFormatError, match="distinct"):
+            Graph(np.eye(4), np.zeros((4, 4)), np.ones(4, dtype=int),
+                  np.array(labeled), num_classes=1)
+        Graph(np.eye(4), np.zeros((4, 4)), np.ones(4, dtype=int),
+              np.array(sorted(set(labeled))), num_classes=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_rejected(self, bad):

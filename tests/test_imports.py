@@ -1,8 +1,10 @@
 """Which certlab modules a fresh interpreter loads.
 
 `import certlab` serves its public names lazily, and each subcommand
-compiles only the modules it runs: `certlab.milp` is for `export` alone.
-Each check starts a new interpreter, since this one has loaded them all.
+compiles only the modules it runs: `certlab.certify` is for `certify` and
+`export`, `certlab.milp` for `export` alone, and no subcommand loads
+`numpy.ma`. Each check starts a new interpreter, since this one has
+loaded them all.
 """
 
 import json
@@ -15,9 +17,11 @@ import pytest
 import certlab
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# prints the certlab modules loaded after the given code ran
+# prints the certlab modules, and numpy.ma if loaded, after the given code ran
 LOADED = ("\nimport json, sys\n"
-          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('certlab'))))")
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m.startswith('certlab') or m == 'numpy.ma')))")
+COMMANDS = ("gen", "ntk", "certify", "validate-ntk", "report", "export")
 
 
 def fresh(code, cwd=None) -> list:
@@ -32,7 +36,10 @@ def test_import_certlab_loads_no_submodule():
     assert set(fresh("import certlab")) <= {"certlab", "certlab.errors"}
 
 
-def test_only_export_loads_milp(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory) -> dict:
+    """Subcommand -> the modules LOADED lists after it ran on a small config."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     config = {
         "dataset": {"kind": "csbm", "n": 24, "labeled_per_class": 3},
         "architectures": [{"name": "gcn", "kind": "gcn", "conv": "row", "C": 0.05}],
@@ -44,14 +51,28 @@ def test_only_export_loads_milp(tmp_path):
         "output_dir": "out",
     }
     (tmp_path / "cfg.json").write_text(json.dumps(config))
-    loaded = {}
     # report reads the metrics.csv that certify writes
-    for command in ("gen", "ntk", "certify", "validate-ntk", "report", "export"):
-        loaded[command] = fresh("from certlab.cli import main\n"
-                                f"assert main([{command!r}, '--config', 'cfg.json']) == 0",
-                                cwd=tmp_path)
-    assert [c for c, modules in loaded.items() if "certlab.milp" in modules] == ["export"]
+    modules = {command: fresh("from certlab.cli import main\n"
+                              f"assert main([{command!r}, '--config', 'cfg.json']) == 0",
+                              cwd=tmp_path)
+               for command in COMMANDS}
     assert os.listdir(tmp_path / "out" / "exports")
+    return modules
+
+
+def test_only_export_loads_milp(loaded):
+    assert [c for c, modules in loaded.items() if "certlab.milp" in modules] == ["export"]
+
+
+def test_only_certify_and_export_load_certify(loaded):
+    assert [c for c, modules in loaded.items() if "certlab.certify" in modules] == [
+        "certify", "export"]
+
+
+def test_no_subcommand_loads_numpy_ma(loaded):
+    # np.unique loads all of numpy.ma; certlab's commands never need it
+    assert list(loaded) == list(COMMANDS)
+    assert [c for c, modules in loaded.items() if "numpy.ma" in modules] == []
 
 
 @pytest.mark.parametrize("how", ["from", "getattr", "star"])

@@ -20,7 +20,8 @@ from certlab import (
     save_kernel,
 )
 import certlab.ntk
-from certlab.ntk import _backprop, _row_space_layer, kappa0, kappa1
+from certlab.ntk import (_backprop, _deriv_moment, _moments, _pair_moment, _row_space_layer,
+                         kappa0, kappa1)
 
 
 def all_specs(conv):
@@ -169,6 +170,22 @@ class TestKappa:
     def test_orthogonal_inputs(self):
         assert kappa0(np.array([0.0]))[0] == pytest.approx(0.5)
         assert kappa1(np.array([0.0]))[0] == pytest.approx(1.0 / np.pi)
+
+
+class TestMoments:
+    @pytest.mark.parametrize("act", ["relu", "linear"])
+    def test_one_pass_is_the_two_helpers_bit_for_bit(self, act):
+        # random PSD second moments, some with zero-variance rows and columns
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            n = int(rng.integers(1, 25))
+            a = rng.standard_normal((n, int(rng.integers(1, 6)))) * rng.uniform(0.1, 10.0)
+            a[rng.random(n) < 0.25] = 0.0
+            sigma = a @ a.T
+            pair, deriv = _moments(act, sigma)
+            assert np.array_equal(pair, _pair_moment(act, act, sigma)), trial
+            assert np.array_equal(deriv, _deriv_moment(act, sigma)), trial
+            assert not np.shares_memory(pair, sigma) and not np.shares_memory(deriv, sigma)
 
 
 class TestAnalytic:
@@ -412,6 +429,24 @@ class TestSpecValidation:
         ArchitectureSpec("mlp", 0)
         with pytest.raises(ValueError, match="depth"):
             ArchitectureSpec("gcn", 0, conv=small_conv)
+
+    @pytest.mark.parametrize("kind, given", [
+        ("gcn", {"depth": 1.5}), ("gcn", {"depth": True}), ("mlp", {"depth": False}),
+        ("appnp", {"alpha": 0.1, "power_k": 2.5}), ("appnp", {"alpha": 0.1, "power_k": True}),
+    ])
+    def test_depth_and_power_k_must_be_integers(self, small_conv, kind, given):
+        # a float failed later inside ntk_analytic with a TypeError, and depth=True
+        # built the depth-1 kernel under the source gcn/L=True/...
+        conv = None if kind == "mlp" else small_conv
+        with pytest.raises(ValueError, match=f"{list(given)[-1]} must be an integer"):
+            ArchitectureSpec(kind, conv=conv, **given)
+
+    def test_numpy_integer_depth_is_an_integer(self, small_csbm, small_conv):
+        spec = ArchitectureSpec("appnp", np.int64(2), conv=small_conv, alpha=0.1,
+                                power_k=np.int64(3))
+        same = ArchitectureSpec("appnp", 2, conv=small_conv, alpha=0.1, power_k=3)
+        assert spec.describe() == same.describe()
+        assert np.array_equal(ntk_analytic(spec, small_csbm).Q, ntk_analytic(same, small_csbm).Q)
 
 
 class TestEmpirical:
