@@ -56,7 +56,6 @@ _EXPORTS = {
         "margins",
         "one_vs_all_split",
         "saturates",
-        "solve_active_set",
         "solve_active_sets",
         "solve_dual",
         "solve_dual_pg",

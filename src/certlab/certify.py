@@ -140,7 +140,7 @@ class ScanStats:
     """
 
     leaves: int = 0
-    verified_leaves: int = 0   # child duals accepted from solve_active_set
+    verified_leaves: int = 0   # child duals accepted from solve_active_sets
     cd_fallbacks: int = 0      # child duals solved by coordinate descent instead
     closed_form_rows: int = 0  # (test row, budget) certificates answered without a walk
 

@@ -643,20 +643,24 @@ def validate_ntk(config: ExperimentConfig, arch_filter=None, seed_filter=None):
 # Entry point
 # ---------------------------------------------------------------------------
 
+# the grid filters each subcommand reads; argparse rejects any other (exit 2)
+FILTERS = {"gen": ("seed",), "ntk": ("arch", "seed"), "certify": ("eps", "arch", "seed"),
+           "export": ("eps", "arch", "seed"), "validate-ntk": ("arch", "seed"), "report": ()}
+FILTER_VALUES = {"eps": (float, "epsilon values"), "arch": (str, "architecture names"),
+                 "seed": (int, "seeds")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="certlab",
         description="Exact label-flipping robustness certification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen", "ntk", "certify", "export", "validate-ntk", "report"):
+    for name, filters in FILTERS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON (or manifest)")
-        p.add_argument("--eps", type=float, nargs="*", default=None,
-                       help="restrict to these epsilon values")
-        p.add_argument("--arch", nargs="*", default=None,
-                       help="restrict to these architecture names")
-        p.add_argument("--seed", type=int, nargs="*", default=None,
-                       help="restrict to these seeds")
+        for flag in filters:
+            kind, what = FILTER_VALUES[flag]
+            p.add_argument(f"--{flag}", type=kind, nargs="+", help=f"restrict to these {what}")
     args = parser.parse_args(argv)
     if args.command == "export":
         # only the MILP export compiles milp; loading it before any array work
@@ -665,14 +669,14 @@ def main(argv=None) -> int:
 
     try:
         config = ExperimentConfig.from_file(args.config)
-        seed_filter = set(args.seed) if args.seed else None
-        arch_filter = set(args.arch) if args.arch else None
-        eps_filter = set(args.eps) if args.eps else None
+        seed_filter, arch_filter, eps_filter = (
+            None if (values := getattr(args, flag, None)) is None else set(values)
+            for flag in ("seed", "arch", "eps"))
 
         if args.command == "gen":
             if config.dataset["kind"] not in GENERATORS:
                 raise ConfigError("gen requires a generator dataset (csbm or cba)")
-            seeds, _, _ = config.select(seed_filter, arch_filter)
+            seeds, _, _ = config.select(seed_filter)
             graphs = [(seed, make_graph(config, seed)) for seed in seeds]
             os.makedirs(config.output_dir, exist_ok=True)
             for seed, graph in graphs:

@@ -118,13 +118,13 @@ class ConvolutionMatrix:
     """A nonnegative propagation matrix derived from the adjacency."""
 
     S: np.ndarray
-    mode: str           # "row", "sym" or "identity"
+    mode: str           # "row" or "sym"
     beta: float = 1.0
 
     def __post_init__(self):
         S = np.ascontiguousarray(np.asarray(self.S, dtype=np.float64))
         object.__setattr__(self, "S", S)
-        if self.mode not in ("row", "sym", "identity"):
+        if self.mode not in ("row", "sym"):
             raise ValueError(f"unknown convolution mode {self.mode!r}")
         if not np.all(np.isfinite(S)):
             raise ValueError("convolution matrix must be finite")
@@ -136,10 +136,6 @@ class ConvolutionMatrix:
                 and not np.allclose(S, S.T, atol=1e-12)):
             raise ValueError("sym-normalized matrix must be symmetric")
         S.setflags(write=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "ConvolutionMatrix":
-        return cls(np.eye(n), "identity")
 
 
 def normalize_features(graph: Graph) -> Graph:

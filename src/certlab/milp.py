@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .svm import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SvmProblem, kkt_check, margin
                   one_vs_all_split, solve_dual)
 
 INF = math.inf
+# a witness dual within this of a box face sits on that face in the MILP point
+BOUNDARY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ class MilpModel:
         return sum(1 for v in self.variables if v.kind == "binary")
 
 
-@dataclass(frozen=True)
-class BigM:
+class BigM(NamedTuple):
     """Tight complementarity constants: Mu_i = max(0, sum_j C|Q_ij| - 1),
     Mv_i = sum_j C|Q_ij| + 1. The raw Mu formula can go negative when the
     kernel row is small; the corresponding multiplier is then forced to
@@ -158,29 +160,12 @@ class BigM:
     Mu: np.ndarray
     Mv: np.ndarray
 
-    def __post_init__(self):
-        mu = np.asarray(self.Mu, dtype=np.float64)
-        mv = np.asarray(self.Mv, dtype=np.float64)
-        if np.any(mu < 0) or np.any(mv < 0):
-            raise ValueError("big-M constants must be nonnegative")
-        object.__setattr__(self, "Mu", mu)
-        object.__setattr__(self, "Mv", mv)
 
-
-@dataclass(frozen=True)
-class MarginBounds:
+class MarginBounds(NamedTuple):
     """Symmetric a-priori bounds on test margins: |p_t| <= C sum_i |Q_ti|."""
 
     l: np.ndarray
     h: np.ndarray
-
-    def __post_init__(self):
-        l = np.asarray(self.l, dtype=np.float64)
-        h = np.asarray(self.h, dtype=np.float64)
-        if not np.allclose(l, -h):
-            raise ValueError("margin bounds must satisfy l = -h")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "h", h)
 
 
 def big_m(Qtrain: np.ndarray, C: float) -> BigM:
@@ -391,8 +376,8 @@ def build_multiclass(Qtrain, Qcross_t, labels, num_classes, C, epsilon, c_hat,
         raise ValueError("c_hat must be a class in [1, K]")
     m = labels.size
     r = Budget(epsilon, m).r
-    pu = float(C * np.abs(qrow).sum())
-    pl = -pu
+    mb = margin_bounds(qrow, C)
+    pl, pu = float(mb.l[0]), float(mb.h[0])
     b = _Builder()
     for c in range(1, num_classes + 1):
         yc = one_vs_all_split(labels, c)
@@ -477,13 +462,13 @@ def evaluate_model(model: MilpModel, point: dict) -> tuple[float, float]:
     return float(viol), float(objective)
 
 
-def _block_point(Q, ytil, C, alpha, prefix="", boundary_tol=1e-7):
+def _block_point(Q, ytil, C, alpha, prefix=""):
     """Variable assignment for one sample-wise block at an optimal dual."""
     m = ytil.size
-    cert = kkt_check(SvmProblem(Q, ytil, C), alpha, tol=boundary_tol)
+    cert = kkt_check(SvmProblem(Q, ytil, C), alpha, tol=BOUNDARY_TOL)
     z = alpha * ytil
     values = (alpha, ytil, (ytil + 1.0) / 2.0, z, cert.u, cert.v,
-              alpha <= boundary_tol, alpha >= C - boundary_tol)
+              alpha <= BOUNDARY_TOL, alpha >= C - BOUNDARY_TOL)
     point = {f"{name}{prefix}_{i}": float(value[i])
              for (name, *_), value in zip(_families(C, prefix), values) for i in range(m)}
     point.update({f"R{prefix}_{i}_{j}": float(ytil[i] * z[j])

@@ -474,7 +474,10 @@ def ntk_analytic(spec: ArchitectureSpec, graph: Graph,
         theta = _skip_alpha_theta(x, s, spec.depth, spec.skip_activation, spec.alpha, cols)
     if cols is not None:
         return KernelColumns(theta, cols, spec.describe())
-    # the recursions are symmetric in exact arithmetic; remove float residue
+    # not float residue alone: with d = 1 features each off-diagonal rho is +-1, where
+    # kappa0's slope is unbounded, so sigma's 1.7e-16 relative asymmetry is 6.7e-9 in E'
+    # and 1.8e-9 in a raw gcn (row) kernel, past _symmetric_psd's 1e-9 limit
+    # (TestAnalytic::test_permutation_equivariance_every_kind fails without this line)
     return KernelMatrix((theta + theta.T) / 2.0, spec.describe())
 
 

@@ -110,29 +110,27 @@ def _violation(alpha: np.ndarray, grad: np.ndarray, C: float):
 def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
                max_sweeps: int = DEFAULT_MAX_SWEEPS,
                alpha0: np.ndarray | None = None,
-               order: np.ndarray | None = None,
                sweep_callback=None) -> DualSolution:
-    """Cyclic coordinate descent in a fixed index order.
+    """Cyclic coordinate descent in index order.
 
     Each step minimizes the objective exactly in one coordinate, so the
     objective never increases and the sweep order is deterministic.
     `alpha0` warm-starts the solve (used by the certifier when walking
-    neighboring flip sets); `order` overrides the index order and
-    `sweep_callback(objective)` fires after every sweep, both for tests.
+    neighboring flip sets); `sweep_callback(objective)` fires after every
+    sweep.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     m, C = problem.m, problem.C
     h = problem.signed_kernel()
     diag = np.diag(h).copy()
-    sweep_order = range(m) if order is None else [int(i) for i in order]
     if alpha0 is None:
         alpha = np.zeros(m)
     else:
         alpha = np.clip(np.asarray(alpha0, dtype=np.float64).copy(), 0.0, C)
     g = h @ alpha
     for _ in range(max_sweeps):
-        for i in sweep_order:
+        for i in range(m):
             old = alpha[i]
             if diag[i] > ZERO_DIAG:
                 new = min(max(old + (1.0 - g[i]) / diag[i], 0.0), C)
@@ -154,17 +152,8 @@ def solve_dual(problem: SvmProblem, tol: float = DEFAULT_TOL,
     )
 
 
-def solve_active_set(Q: np.ndarray, y: np.ndarray, C: float, guess: np.ndarray,
-                     tol: float = DEFAULT_TOL, rounds: int = ACTIVE_SET_ROUNDS):
-    """The verified dual of one label vector, or None: the one-row case of
-    `solve_active_sets`."""
-    alpha, verified = solve_active_sets(Q, np.asarray(y, dtype=np.float64)[None], C,
-                                        np.asarray(guess, dtype=np.float64)[None], tol, rounds)
-    return alpha[0] if verified[0] else None
-
-
 def solve_active_sets(Q: np.ndarray, Y: np.ndarray, C: float, guesses: np.ndarray,
-                      tol: float = DEFAULT_TOL, rounds: int = ACTIVE_SET_ROUNDS):
+                      tol: float = DEFAULT_TOL):
     """Primal-dual active-set solves of the duals of the label rows of Y.
 
     Returns (alpha, verified): row i of alpha is the dual of labels Y[i]
@@ -182,15 +171,15 @@ def solve_active_sets(Q: np.ndarray, Y: np.ndarray, C: float, guesses: np.ndarra
     violators move: a coordinate on a face whose gradient points into the
     box becomes free, a free one that left the box goes to the face it
     crossed, and the next round tries that guess. A singular or non-finite
-    free solve, or `rounds` rejected guesses, leave the row unverified: the
-    caller falls back to `solve_dual`. Q and Y are not validated here
-    (build an SvmProblem once for that); Y must be +-1.
+    free solve, or `ACTIVE_SET_ROUNDS` rejected guesses, leave the row
+    unverified: the caller falls back to `solve_dual`. Q and Y are not
+    validated here (build an SvmProblem once for that); Y must be +-1.
     """
     Q = np.asarray(Q, dtype=np.float64)
     n, m = Y.shape
     alpha_out, verified = np.zeros((n, m)), np.zeros(n, dtype=bool)
     rows, upper, lower = np.arange(n), guesses >= C, guesses <= 0.0
-    for _ in range(rounds):
+    for _ in range(ACTIVE_SET_ROUNDS):
         if not rows.size:
             break
         y, inside = Y[rows], ~(upper | lower)

@@ -1000,6 +1000,28 @@ class TestColumnKernels:
 
 
 class TestSubcommands:
+    READS = {"gen": {"--seed"}, "ntk": {"--arch", "--seed"}, "validate-ntk": {"--arch", "--seed"},
+             "certify": {"--eps", "--arch", "--seed"}, "export": {"--eps", "--arch", "--seed"},
+             "report": set()}
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "0.3"), ("--arch", "nosuch"),
+                                             ("--seed", "7")], ids=["eps", "arch", "seed"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_the_filters_a_subcommand_reads_are_accepted(self, tmp_path, capsys,
+                                                              command, flag, value):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        if flag in self.READS[command]:
+            # a value that keeps nothing shows the filter is read: an ignored one exits 0
+            assert main([command, "--config", path, flag, value]) == 2
+            assert "config error: filters removed every grid cell" in capsys.readouterr().err
+            argv = [command, "--config", path, flag]  # a filter with no value
+        else:
+            argv = [command, "--config", path, flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_gen_writes_loadable_graphs(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)

@@ -361,12 +361,6 @@ class TestGraphIO:
                            tmp_path / "labels.csv")
 
 
-def test_identity_convolution():
-    conv = ConvolutionMatrix.identity(3)
-    np.testing.assert_array_equal(conv.S, np.eye(3))
-    assert conv.mode == "identity"
-
-
 def test_normalize_features_unit_rows():
     from certlab import normalize_features
     g = sample_csbm(CsbmParams(n=20, labeled_per_class=2, seed=3))

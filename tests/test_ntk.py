@@ -196,7 +196,7 @@ class TestAnalytic:
 
     def test_sgc_with_identity_conv_is_deep_linear_mlp(self, small_csbm):
         from certlab import ConvolutionMatrix
-        conv = ConvolutionMatrix.identity(small_csbm.n)
+        conv = ConvolutionMatrix(np.eye(small_csbm.n), "row")
         q = ntk_analytic(ArchitectureSpec("sgc", 1, conv=conv), small_csbm).Q
         x = small_csbm.features
         np.testing.assert_allclose(q, 2.0 * x @ x.T / small_csbm.d, atol=1e-12)
